@@ -24,12 +24,13 @@ func TestFacadeObservedEngine(t *testing.T) {
 	}
 
 	o := pimmine.NewObserver(pimmine.ObserverConfig{SampleRate: 1})
-	eng, err := pimmine.NewObservedEngine(ds.X, pimmine.QueryEngineOptions{
+	eng, err := pimmine.NewQueryEngine(ds.X, pimmine.QueryEngineOptions{
 		Shards:    2,
 		Variant:   pimmine.ServeFNNPIM,
 		Framework: fw,
 		CapacityN: prof.FullN,
-	}, o)
+		Obs:       o,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +77,13 @@ func TestFacadeObservedEngine(t *testing.T) {
 	}
 
 	// A nil observer must serve unobserved without blowing up.
-	plain, err := pimmine.NewObservedEngine(ds.X, pimmine.QueryEngineOptions{
+	plain, err := pimmine.NewQueryEngine(ds.X, pimmine.QueryEngineOptions{
 		Shards:    2,
 		Variant:   pimmine.ServeFNNPIM,
 		Framework: fw,
 		CapacityN: prof.FullN,
-	}, nil)
+		Obs:       nil,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

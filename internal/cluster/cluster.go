@@ -29,8 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,7 +38,6 @@ import (
 	"pimmine/internal/delta"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
-	"pimmine/internal/pool"
 	"pimmine/internal/resilience"
 	"pimmine/internal/route"
 	"pimmine/internal/serve"
@@ -114,7 +111,9 @@ type Options struct {
 	MaxTombstoneRatio float64
 	// StandingBuffer sizes standing-subscription event channels.
 	StandingBuffer int
-	// Obs exports pim_cluster_* metrics when set.
+	// Obs, when set, exports the pim_cluster_* metrics next to the
+	// shared query pipeline's pim_serve_*/pim_route_* series and
+	// engine.search traces.
 	Obs *obs.Observer
 }
 
@@ -168,10 +167,15 @@ func (sh *cshard) snapshot() []*replica {
 	return out
 }
 
-// Engine is a multi-node placement layer over replicated shard stores.
-// It satisfies the same query surface as serve.Engine (netserve's
-// queryEngine), returning *serve.Result.
+// pipeline names the embedded *serve.Pipeline, keeping the field
+// unexported while its methods promote.
+type pipeline = serve.Pipeline
+
+// Engine is a multi-node placement layer over replicated shard stores,
+// queried through serve's shared pipeline — the same query surface and
+// *serve.Result as serve.Engine.
 type Engine struct {
+	*pipeline
 	d        int
 	initialN int // rows in the initial image (ids below this use bounds)
 	opts     Options
@@ -189,9 +193,6 @@ type Engine struct {
 	mu     sync.Mutex // mutation + placement lock
 	nextID int
 	routes map[int]int // inserted id -> shard
-
-	closeMu sync.RWMutex
-	closed  bool
 
 	standing *standing.Registry
 	met      *metrics
@@ -248,9 +249,6 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Factory == nil {
 		opts.Factory = func(base *vec.Matrix, _ int) (knn.Searcher, error) {
 			return knn.NewStandard(base), nil
@@ -265,23 +263,20 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if opts.MaxTombstoneRatio <= 0 {
 		opts.MaxTombstoneRatio = 0.25
 	}
-	if opts.Router != nil {
-		if opts.Router.NumShards() != opts.Shards {
-			return nil, fmt.Errorf("cluster: router covers %d shards, engine has %d: %w",
-				opts.Router.NumShards(), opts.Shards, route.ErrShardMismatch)
-		}
-		if opts.Router.Dims() != data.D {
-			return nil, fmt.Errorf("cluster: router dims %d != data dims %d: %w",
-				opts.Router.Dims(), data.D, route.ErrShardMismatch)
-		}
-	}
 
 	e := &Engine{
 		d:        data.D,
 		initialN: data.N,
 		opts:     opts,
+		shards:   make([]*cshard, opts.Shards),
 		nextID:   data.N,
 		routes:   make(map[int]int),
+	}
+	var err error
+	e.pipeline, err = serve.NewPipeline((*shardSet)(e), data.D,
+		serve.Options{Router: opts.Router, Workers: opts.Workers, Obs: opts.Obs})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	e.met = newMetrics(opts.Obs, opts.Nodes)
 
@@ -301,7 +296,6 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	nodeRing := newRing(opts.Nodes, opts.VirtualNodes, opts.Seed)
 	e.idRing = newRing(opts.Shards, opts.VirtualNodes, opts.Seed+1)
 
-	e.shards = make([]*cshard, opts.Shards)
 	e.bounds = make([]int, opts.Shards)
 	base, rem := data.N/opts.Shards, data.N%opts.Shards
 	lo := 0
@@ -333,7 +327,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		Requery: func(q []float64, k int) ([]vec.Neighbor, error) {
 			// Runs under e.mu via the mutation hooks: must not
 			// re-acquire engine locks.
-			return e.searchAll(context.Background(), q, k)
+			return e.SearchAll(context.Background(), q, k)
 		},
 		Buffer: opts.StandingBuffer,
 	})
@@ -375,23 +369,11 @@ func (e *Engine) nodeLive(n *node) bool {
 	return n.state.Load() == nodeUp && e.reachable(-1, n.id)
 }
 
-// Dims returns the vector dimensionality.
-func (e *Engine) Dims() int { return e.d }
-
-// NumShards returns the shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
 // NumNodes returns the node count.
 func (e *Engine) NumNodes() int { return len(e.nodes) }
 
 // Replicas returns R.
 func (e *Engine) Replicas() int { return e.opts.Replicas }
-
-// Workers returns the batch fan-out width.
-func (e *Engine) Workers() int { return e.opts.Workers }
-
-// Router returns the optional shard router.
-func (e *Engine) Router() *route.Router { return e.opts.Router }
 
 // NodesUp counts nodes currently up (ignoring partitions).
 func (e *Engine) NodesUp() int {
@@ -441,35 +423,42 @@ func (e *Engine) BreakerStates() []resilience.State {
 	return e.breakers.States()
 }
 
-// acquire guards the query/mutation surface against Close.
-func (e *Engine) acquire() (func(), error) {
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, serve.ErrClosed
-	}
-	return e.closeMu.RUnlock, nil
-}
-
 // Close shuts the engine: standing subscriptions end, every replica
-// store closes. In-flight queries finish first.
+// store closes. In-flight queries finish first; closing again is a
+// no-op.
 func (e *Engine) Close() error {
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	if e.closed {
+	if e.pipeline.Close() != nil {
 		return nil
 	}
-	e.closed = true
 	e.standing.Close()
 	e.closeStoresLocked()
 	return nil
 }
 
-type shardRes struct {
-	id       int
-	nn       []vec.Neighbor
-	meter    *arch.Meter
-	failover bool
+// shardSet is the Engine's serve.ShardSet: replicated shards visited
+// through searchShard's fail-over.
+type shardSet Engine
+
+func (s *shardSet) NumShards() int        { return len(s.shards) }
+func (s *shardSet) DegradedShards() []int { return nil }
+
+func (s *shardSet) Visit(_ context.Context, i int, q []float64, k int) ([]vec.Neighbor, *arch.Meter, bool, error) {
+	return (*Engine)(s).searchShard(s.shards[i], q, k)
+}
+
+// Servable reports whether a shard has at least one current replica on
+// a live, reachable node — the availability predicate exact routing
+// seeds its first wave from.
+func (s *shardSet) Servable(id int) bool {
+	e := (*Engine)(s)
+	sh := e.shards[id]
+	cur := sh.version.Load()
+	for _, r := range sh.snapshot() {
+		if e.nodeLive(r.node) && r.version.Load() >= cur {
+			return true
+		}
+	}
+	return false
 }
 
 // searchShard serves one shard from the best available replica.
@@ -481,7 +470,7 @@ type shardRes struct {
 // store fails (injected fault, closed by a concurrent kill) feeds its
 // breaker and the next candidate is tried — bit-identical replicas make
 // that fail-over invisible in the result.
-func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
+func (e *Engine) searchShard(sh *cshard, q []float64, k int) ([]vec.Neighbor, *arch.Meter, bool, error) {
 	reps := sh.snapshot()
 	cur := sh.version.Load()
 	avail := reps[:0:0]
@@ -497,12 +486,12 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
 			for _, r := range reps {
 				if e.nodeLive(r.node) {
 					e.met.inc(e.met.rebalancing)
-					return shardRes{}, fmt.Errorf("shard %d: %w", sh.id, ErrRebalancing)
+					return nil, nil, false, fmt.Errorf("shard %d: %w", sh.id, ErrRebalancing)
 				}
 			}
 		}
 		e.met.inc(e.met.noQuorum)
-		return shardRes{}, fmt.Errorf("shard %d: %w", sh.id, ErrNoQuorum)
+		return nil, nil, false, fmt.Errorf("shard %d: %w", sh.id, ErrNoQuorum)
 	}
 	// Least-loaded first; ties keep preference order. Replicas are
 	// bit-identical, so balancing is free — it is also what keeps
@@ -511,7 +500,8 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
 	sort.SliceStable(avail, func(i, j int) bool {
 		return avail[i].node.inflight.Load() < avail[j].node.inflight.Load()
 	})
-	res := shardRes{id: sh.id, meter: arch.NewMeter()}
+	meter := arch.NewMeter()
+	failover := false
 	var errs []error
 	// Pass 1: breaker-approved candidates. Pass 2: ignore breakers.
 	for pass := 0; pass < 2; pass++ {
@@ -523,274 +513,26 @@ func (e *Engine) searchShard(sh *cshard, q []float64, k int) (shardRes, error) {
 			if pass == 0 {
 				d, err := r.node.breaker.Allow()
 				if err != nil {
-					res.failover = true
+					failover = true
 					continue
 				}
 				done = d
 			}
-			nn, err := r.node.visit(r.store, q, k, e.opts.NodeServiceTime, res.meter)
+			nn, err := r.node.visit(r.store, q, k, e.opts.NodeServiceTime, meter)
 			done(err == nil)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("shard %d node %d: %w", sh.id, r.node.id, err))
-				res.failover = true
+				failover = true
 				avail[i] = nil
 				continue
 			}
-			if res.failover {
+			if failover {
 				e.met.inc(e.met.failovers)
 			}
-			res.nn = nn
-			return res, nil
+			return nn, meter, failover, nil
 		}
 	}
 	errs = append(errs, fmt.Errorf("shard %d: %w", sh.id, ErrNoQuorum))
 	e.met.inc(e.met.noQuorum)
-	return shardRes{}, errors.Join(errs...)
-}
-
-// fanShards searches the given shard ids concurrently. Every shard's
-// outcome is collected; failures are joined in shard order rather than
-// first-error-wins, so a caller sees each dead shard, not just the
-// fastest one to fail.
-func (e *Engine) fanShards(ctx context.Context, ids []int, q []float64, k int) ([]shardRes, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
-	type out struct {
-		res shardRes
-		err error
-	}
-	ch := make(chan out, len(ids))
-	for _, id := range ids {
-		go func(sh *cshard) {
-			if err := ctx.Err(); err != nil {
-				ch <- out{err: fmt.Errorf("shard %d: %w", sh.id, context.Cause(ctx))}
-				return
-			}
-			r, err := e.searchShard(sh, q, k)
-			ch <- out{res: r, err: err}
-		}(e.shards[id])
-	}
-	outs := make([]shardRes, 0, len(ids))
-	var errs []error
-	for range ids {
-		o := <-ch
-		if o.err != nil {
-			errs = append(errs, o.err)
-			continue
-		}
-		outs = append(outs, o.res)
-	}
-	if len(errs) > 0 {
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return nil, errors.Join(errs...)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i].id < outs[j].id })
-	return outs, nil
-}
-
-// searchAll is the unrouted exact path: visit every shard, merge.
-// It takes no engine locks, so the standing-query requery hook (which
-// runs under the mutation lock) can use it directly.
-func (e *Engine) searchAll(ctx context.Context, q []float64, k int) ([]vec.Neighbor, error) {
-	ids := make([]int, len(e.shards))
-	for i := range ids {
-		ids[i] = i
-	}
-	outs, err := e.fanShards(ctx, ids, q, k)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([][]vec.Neighbor, len(outs))
-	for i, o := range outs {
-		lists[i] = o.nn
-	}
-	return vec.MergeNeighbors(k, lists...), nil
-}
-
-// Search returns the exact k nearest neighbors of q under the engine's
-// default routing mode.
-func (e *Engine) Search(ctx context.Context, q []float64, k int) (*serve.Result, error) {
-	return e.SearchMode(ctx, q, k, route.ModeAuto)
-}
-
-// SearchMode is Search with an explicit routing mode, mirroring
-// serve.Engine.SearchMode.
-func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*serve.Result, error) {
-	release, err := e.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.d {
-		return nil, fmt.Errorf("cluster: query dims %d != data dims %d", len(q), e.d)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("cluster: k %d must be positive", k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
-	e.met.inc(e.met.queries)
-
-	r := e.opts.Router
-	if mode == route.ModeAuto {
-		if r == nil {
-			return e.assemble(ctx, q, k, nil, nil)
-		}
-		mode = r.DefaultMode()
-	}
-	if r == nil {
-		return nil, fmt.Errorf("cluster: mode %q: %w", mode, serve.ErrNoRouter)
-	}
-	switch mode {
-	case route.ModeExact:
-		return e.searchExactRouted(ctx, q, k, r)
-	case route.ModeApprox:
-		visit, est := r.ApproxPlan(q, 0)
-		info := &serve.RouteInfo{Mode: route.ModeApprox, Visited: len(visit),
-			Skipped: len(e.shards) - len(visit), EstRecall: est}
-		return e.assemble(ctx, q, k, visit, info)
-	default:
-		return nil, fmt.Errorf("cluster: unknown routing mode %q", mode)
-	}
-}
-
-// searchExactRouted is the two-wave exact plan, node-aware: the seed
-// shard (wave 1) is the lowest-bound shard that is actually servable,
-// so a dead best shard cannot stall the plan; wave 2 visits every shard
-// whose admissible lower bound beats the seeded kth distance. A shard
-// with no live replica only fails the query if the bound says it could
-// hold a top-k row — routing proves dead shards out of the answer.
-func (e *Engine) searchExactRouted(ctx context.Context, q []float64, k int, r *route.Router) (*serve.Result, error) {
-	order, lbs := r.ExactOrderAvail(q, e.shardServable)
-	first, err := e.fanShards(ctx, order[:1], q, k)
-	if err != nil {
-		return nil, err
-	}
-	tau := kthDist(first[0].nn, k)
-	visit := []int{order[0]}
-	for _, id := range order[1:] {
-		if lbs[id] <= tau {
-			visit = append(visit, id)
-		}
-	}
-	rest, err := e.fanShards(ctx, visit[1:], q, k)
-	if err != nil {
-		return nil, err
-	}
-	outs := append(first, rest...)
-	skipped := complementShards(visit, len(e.shards))
-	r.NoteOutcome(len(visit), len(skipped))
-	info := &serve.RouteInfo{Mode: route.ModeExact, Visited: len(visit),
-		Skipped: len(skipped), SkippedShards: skipped, EstRecall: 1}
-	return e.assembleOuts(outs, k, info)
-}
-
-// shardServable reports whether a shard has at least one current
-// replica on a live, reachable node — the availability predicate the
-// router's node-aware exact order seeds from.
-func (e *Engine) shardServable(id int) bool {
-	sh := e.shards[id]
-	cur := sh.version.Load()
-	for _, r := range sh.snapshot() {
-		if e.nodeLive(r.node) && r.version.Load() >= cur {
-			return true
-		}
-	}
-	return false
-}
-
-// assemble fans out over visit (nil = all shards) and merges.
-func (e *Engine) assemble(ctx context.Context, q []float64, k int, visit []int, info *serve.RouteInfo) (*serve.Result, error) {
-	if visit == nil {
-		visit = make([]int, len(e.shards))
-		for i := range visit {
-			visit[i] = i
-		}
-	}
-	outs, err := e.fanShards(ctx, visit, q, k)
-	if err != nil {
-		return nil, err
-	}
-	return e.assembleOuts(outs, k, info)
-}
-
-func (e *Engine) assembleOuts(outs []shardRes, k int, info *serve.RouteInfo) (*serve.Result, error) {
-	sort.Slice(outs, func(i, j int) bool { return outs[i].id < outs[j].id })
-	total := arch.NewMeter()
-	shardMeters := make([]*arch.Meter, len(e.shards))
-	lists := make([][]vec.Neighbor, 0, len(outs))
-	var failover []int
-	for _, o := range outs {
-		lists = append(lists, o.nn)
-		shardMeters[o.id] = o.meter
-		total.Merge(o.meter)
-		if o.failover {
-			failover = append(failover, o.id)
-		}
-	}
-	return &serve.Result{
-		Neighbors:   vec.MergeNeighbors(k, lists...),
-		Meter:       total,
-		ShardMeters: shardMeters,
-		BreakerOpen: failover,
-		Routed:      info,
-	}, nil
-}
-
-// SearchBatch answers queries (row-major, len = n*Dims) with at most
-// Workers queries in flight, joining every per-query failure.
-func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*serve.BatchResult, error) {
-	release, err := e.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if queries == nil || queries.N == 0 {
-		return nil, fmt.Errorf("cluster: empty query batch")
-	}
-	if queries.D != e.d {
-		return nil, fmt.Errorf("cluster: query dims %d != data dims %d", queries.D, e.d)
-	}
-	results := make([]*serve.Result, queries.N)
-	err = pool.Run(ctx, queries.N, e.opts.Workers, func(int) (pool.Worker, error) {
-		return func(job int) error {
-			r, err := e.SearchMode(ctx, queries.Row(job), k, route.ModeAuto)
-			if err != nil {
-				return fmt.Errorf("query %d: %w", job, err)
-			}
-			results[job] = r
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := arch.NewMeter()
-	for _, r := range results {
-		total.Merge(r.Meter)
-	}
-	return &serve.BatchResult{Results: results, Meter: total}, nil
-}
-
-func kthDist(nn []vec.Neighbor, k int) float64 {
-	if len(nn) < k {
-		return math.Inf(1)
-	}
-	return nn[k-1].Dist
-}
-
-func complementShards(visit []int, n int) []int {
-	in := make([]bool, n)
-	for _, id := range visit {
-		in[id] = true
-	}
-	var out []int
-	for i := 0; i < n; i++ {
-		if !in[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+	return nil, nil, false, errors.Join(errs...)
 }

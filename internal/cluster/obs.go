@@ -11,19 +11,18 @@ import (
 // (no Observer configured); obs instruments are nil-safe, so call sites
 // never guard.
 type metrics struct {
-	queries        *obs.Counter
 	failovers      *obs.Counter
 	noQuorum       *obs.Counter
 	rebalancing    *obs.Counter
 	degradedWrites *obs.Counter
-	kills       *obs.Counter
-	repairs     *obs.Counter
-	rebalances  *obs.Counter
-	ships       *obs.Counter
-	shipBytes   *obs.Counter
-	shipNs      *obs.Counter
-	upGauge     *obs.Gauge
-	wear        []*obs.Gauge
+	kills          *obs.Counter
+	repairs        *obs.Counter
+	rebalances     *obs.Counter
+	ships          *obs.Counter
+	shipBytes      *obs.Counter
+	shipNs         *obs.Counter
+	upGauge        *obs.Gauge
+	wear           []*obs.Gauge
 }
 
 func newMetrics(o *obs.Observer, nodes int) *metrics {
@@ -32,7 +31,6 @@ func newMetrics(o *obs.Observer, nodes int) *metrics {
 		return m
 	}
 	reg := o.Registry()
-	m.queries = reg.Counter("pim_cluster_queries_total", "Queries dispatched through the placement layer.")
 	m.failovers = reg.Counter("pim_cluster_failovers_total", "Shard reads served by a non-preferred replica (breaker-open, fault, or dead node).")
 	m.noQuorum = reg.Counter("pim_cluster_noquorum_total", "Shard reads refused because no live replica existed.")
 	m.rebalancing = reg.Counter("pim_cluster_rebalancing_total", "Shard reads refused because every surviving replica was stale.")

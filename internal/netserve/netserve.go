@@ -30,11 +30,12 @@ import (
 	"pimmine/internal/standing"
 )
 
-// queryEngine is the engine surface the wire layer consumes — satisfied
-// by *serve.Engine, *serve.MutableEngine and *cluster.Engine, so one
-// server fronts the immutable, durable-mutable, or multi-node
-// deployment shape.
-type queryEngine interface {
+// engine is the surface the wire layer serves — satisfied by
+// *serve.Engine, *serve.MutableEngine and *cluster.Engine, so one server
+// fronts the immutable, durable-mutable, or multi-node deployment
+// shape. Standing queries (subscriber) and the cluster's /v1/info block
+// are found by type assertion.
+type engine interface {
 	SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*serve.Result, error)
 	Dims() int
 	Rows() int
@@ -44,13 +45,12 @@ type queryEngine interface {
 	Close() error
 }
 
-// subscribeEngine is the standing-query surface, satisfied by the
-// mutable and cluster engines (Unsubscribe differs in signature between
-// the two, so the server keeps it as a closure instead).
-type subscribeEngine interface {
-	Dims() int
+// subscriber is the standing-query surface of the mutable and cluster
+// engines.
+type subscriber interface {
 	SubscribeKNN(q []float64, k int) (*standing.Subscription, error)
 	SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error)
+	Unsubscribe(id int) error
 }
 
 // DefaultTenant is the accounting identity of requests that carry no
@@ -109,10 +109,7 @@ type Options struct {
 // Server serves the engine over HTTP. It implements http.Handler;
 // NewHTTPServer wraps it for h2c. Safe for concurrent use.
 type Server struct {
-	eng   queryEngine
-	sub   subscribeEngine // non-nil when the engine supports subscriptions
-	unsub func(id int)    // tears down one subscription on stream end
-	clu   *cluster.Engine // non-nil when serving Options.Cluster
+	eng   engine
 	opts  Options
 	ten   *tenants
 	nobs  *netObs
@@ -135,30 +132,20 @@ type Server struct {
 
 // New builds a server over the configured engine.
 func New(opts Options) (*Server, error) {
-	var eng queryEngine
-	var sub subscribeEngine
-	var unsub func(id int)
-	set := 0
-	for _, on := range []bool{opts.Engine != nil, opts.Mutable != nil, opts.Cluster != nil} {
-		if on {
-			set++
-		}
+	var set []engine
+	if opts.Engine != nil {
+		set = append(set, opts.Engine)
 	}
-	if set != 1 {
-		return nil, fmt.Errorf("netserve: set exactly one of Options.Engine, Options.Mutable and Options.Cluster (%d set)", set)
+	if opts.Mutable != nil {
+		set = append(set, opts.Mutable)
 	}
-	switch {
-	case opts.Engine != nil:
-		eng = opts.Engine
-	case opts.Mutable != nil:
-		eng = opts.Mutable
-		sub = opts.Mutable
-		unsub = func(id int) { opts.Mutable.Unsubscribe(id) }
-	case opts.Cluster != nil:
-		eng = opts.Cluster
-		sub = opts.Cluster
-		unsub = func(id int) { opts.Cluster.Unsubscribe(id) }
+	if opts.Cluster != nil {
+		set = append(set, opts.Cluster)
 	}
+	if len(set) != 1 {
+		return nil, fmt.Errorf("netserve: set exactly one of Options.Engine, Options.Mutable and Options.Cluster (%d set)", len(set))
+	}
+	eng := set[0]
 	if opts.Slots <= 0 {
 		opts.Slots = eng.Workers()
 	}
@@ -184,9 +171,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		eng:     eng,
-		sub:     sub,
-		unsub:   unsub,
-		clu:     opts.Cluster,
 		opts:    opts,
 		ten:     ten,
 		retry:   resilience.NewRetryBudget(retryCfg),
@@ -200,7 +184,7 @@ func New(opts Options) (*Server, error) {
 	mux.HandleFunc("POST /v1/search/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/info", s.handleInfo)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if s.sub != nil {
+	if _, ok := eng.(subscriber); ok {
 		mux.HandleFunc("POST /v1/subscribe", s.handleSubscribe)
 	}
 	s.mux = mux
@@ -448,6 +432,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleInfo answers GET /v1/info with the engine's static shape — what
 // a client needs to build valid requests.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
+	_, mutable := s.eng.(subscriber)
 	info := map[string]any{
 		"dims":      s.eng.Dims(),
 		"rows":      s.eng.Rows(),
@@ -455,13 +440,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"max_k":     s.opts.MaxK,
 		"max_batch": s.opts.MaxBatch,
 		"proto":     r.Proto,
-		"mutable":   s.sub != nil,
+		"mutable":   mutable,
 	}
-	if s.clu != nil {
+	if c, ok := s.eng.(*cluster.Engine); ok {
 		info["cluster"] = map[string]any{
-			"nodes":    s.clu.NumNodes(),
-			"replicas": s.clu.Replicas(),
-			"nodes_up": s.clu.NodesUp(),
+			"nodes":    c.NumNodes(),
+			"replicas": c.Replicas(),
+			"nodes_up": c.NodesUp(),
 		}
 	}
 	if rt := s.eng.Router(); rt != nil {

@@ -110,25 +110,26 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err, 0)
 		return
 	}
-	req, err := DecodeSubscribeRequest(body, s.sub.Dims(), s.opts.MaxK)
+	req, err := DecodeSubscribeRequest(body, s.eng.Dims(), s.opts.MaxK)
 	if err != nil {
 		s.writeError(w, err, 0)
 		return
 	}
 	tenant := tenantOf(r, req.Tenant)
 	s.nobs.noteRequest(tenant)
+	eng := s.eng.(subscriber) // the route exists only for subscribers
 	var sub *standing.Subscription
 	if req.K > 0 {
-		sub, err = s.sub.SubscribeKNN(req.Query, req.K)
+		sub, err = eng.SubscribeKNN(req.Query, req.K)
 	} else {
-		sub, err = s.sub.SubscribeRadius(req.Query, req.Radius)
+		sub, err = eng.SubscribeRadius(req.Query, req.Radius)
 	}
 	if err != nil {
 		s.nobs.noteRejected(tenant, VerdictFor(err).Code)
 		s.writeError(w, err, 0)
 		return
 	}
-	defer s.unsub(sub.ID())
+	defer eng.Unsubscribe(sub.ID())
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -31,18 +31,18 @@ func (b *BatchResult) Neighbors() [][]vec.Neighbor {
 }
 
 // SearchBatch answers a whole query matrix through the engine's bounded
-// worker pool: at most Options.Workers queries are in flight at once,
+// worker pool: at most Workers() queries are in flight at once,
 // each fanning out to the shards, so shards stay busy while no single
 // batch monopolizes the engine. Cancellation of ctx (or a per-query
 // deadline) aborts the batch with the context's error. Results are
 // deterministic and identical to issuing the queries sequentially.
-func (e *Engine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
-	return e.SearchBatchMode(ctx, queries, k, route.ModeAuto)
+func (p *Pipeline) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
+	return p.SearchBatchMode(ctx, queries, k, route.ModeAuto)
 }
 
 // SearchBatchMode is SearchBatch with an explicit routing mode (see
 // SearchMode).
-func (e *Engine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
+func (p *Pipeline) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
 	if queries == nil || queries.N == 0 {
 		return &BatchResult{Meter: arch.NewMeter()}, nil
 	}
@@ -59,15 +59,15 @@ func (e *Engine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int
 	// one of the two fires per job, so the gauge returns to its prior value
 	// on every exit path.
 	var hooks pool.Hooks
-	if e.eobs != nil {
-		e.eobs.queueDepth.Add(int64(queries.N))
-		dec := func(int) { e.eobs.queueDepth.Add(-1) }
+	if eo := p.eobs; eo != nil {
+		eo.queueDepth.Add(int64(queries.N))
+		dec := func(int) { eo.queueDepth.Add(-1) }
 		hooks.JobStart = dec
 		hooks.JobSkip = dec
 	}
-	err := pool.RunHooked(ctx, queries.N, e.opts.Workers, func(w int) (pool.Worker, error) {
+	err := pool.RunHooked(ctx, queries.N, p.workers, func(w int) (pool.Worker, error) {
 		return func(qi int) error {
-			r, err := e.SearchMode(ctx, queries.Row(qi), k, mode)
+			r, err := p.SearchMode(ctx, queries.Row(qi), k, mode)
 			if err != nil {
 				return fmt.Errorf("serve: query %d: %w", qi, err)
 			}

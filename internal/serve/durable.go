@@ -13,13 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pimmine/internal/delta"
-	"pimmine/internal/knn"
 	"pimmine/internal/obs"
-	"pimmine/internal/pim"
 	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
@@ -68,7 +65,7 @@ var (
 )
 
 // initStanding wires the continuous-query registry. Its re-query
-// callback fans out over the stores directly — without engine locks —
+// callback is the pipeline's SearchAll — no lease, no admission —
 // because it runs while the caller already holds e.mu (member deletes)
 // and the store searches are lock-free by design.
 func (e *MutableEngine) initStanding(reg *obs.Registry) error {
@@ -76,19 +73,10 @@ func (e *MutableEngine) initStanding(reg *obs.Registry) error {
 	if reg != nil {
 		m = standing.NewMetrics(reg)
 	}
-	requery := func(q []float64, k int) ([]vec.Neighbor, error) {
-		outs, err := e.fanOutStores(context.Background(), q, k, nil)
-		if err != nil {
-			return nil, err
-		}
-		lists := make([][]vec.Neighbor, 0, len(outs))
-		for _, o := range outs {
-			lists = append(lists, o.nn)
-		}
-		return vec.MergeNeighbors(k, lists...), nil
-	}
 	r, err := standing.NewRegistry(standing.Options{
-		Requery: requery,
+		Requery: func(q []float64, k int) ([]vec.Neighbor, error) {
+			return e.SearchAll(context.Background(), q, k)
+		},
 		Buffer:  e.opts.StandingBuffer,
 		Metrics: m,
 	})
@@ -151,7 +139,7 @@ func (e *MutableEngine) writeSnapshot(lsn int64) error {
 // new image makes redundant. Mutations stall for the duration (the
 // durability analogue of a compaction pause); queries do not.
 func (e *MutableEngine) Checkpoint() error {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return err
 	}
@@ -203,100 +191,45 @@ func RecoverMutable(opts MutableOptions) (*MutableEngine, error) {
 		return nil, err
 	}
 	s := len(snap.Shards)
-	opts.Shards = s
-	if err := checkRouter(opts.Router, s, snap.Dims); err != nil {
-		return nil, err
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	totalLive := 0
 	for _, sh := range snap.Shards {
 		totalLive += len(sh.IDs)
 	}
+	// The snapshot fixes the shard count and, by default, the capacity;
+	// withDefaults fills the rest without clamping either.
+	opts.Shards = s
 	if opts.CapacityN <= 0 {
-		opts.CapacityN = totalLive
-		if opts.CapacityN == 0 {
-			opts.CapacityN = 1
-		}
+		opts.CapacityN = max(totalLive, 1)
 	}
-	if opts.Variant == "" {
-		opts.Variant = VariantStandard
-	}
-	build, err := variantBuilder(opts.Options)
-	if err != nil {
-		return nil, err
-	}
-	var res *engineResilience
-	if opts.Resilience != nil {
-		if res, err = newEngineResilience(opts.Resilience); err != nil {
-			return nil, err
-		}
-		if mc := opts.Resilience.MaxConcurrent; mc > 0 && opts.Workers > mc {
-			opts.Workers = mc
-		}
-	}
+	opts.Options = opts.Options.withDefaults(max(totalLive, s))
 	e := &MutableEngine{
 		d:      snap.Dims,
 		opts:   opts,
+		stores: make([]*delta.Store, s),
 		nextID: snap.NextID,
 		rr:     snap.RR,
 		routes: make(map[int]int, totalLive),
-		res:    res,
 		// Degenerate bounds: a restored engine's shards hold arbitrary
 		// id sets, so every id routes through the table instead of a
 		// contiguous range check.
 		bounds:   make([]int, s+1),
 		degraded: make([]bool, s),
 	}
-	var reg *obs.Registry
-	if opts.Obs != nil {
-		reg = opts.Obs.Registry()
+	build, err := e.start()
+	if err != nil {
+		return nil, err
 	}
-	shardCap := shardCapacity(opts.Options)
+	reg := opts.Obs.Registry()
 	for id := range snap.Shards {
-		shardID := id
-		factory := func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			srch, ferr := build(m, capacityN)
-			if ferr != nil {
-				e.degraded[shardID] = true
-				return knn.NewStandard(m), nil
-			}
-			return srch, nil
-		}
-		dopts := delta.Options{
-			Factory:           factory,
-			MaxDelta:          opts.MaxDelta,
-			MaxTombstoneRatio: opts.MaxTombstoneRatio,
-			AutoCompact:       opts.AutoCompact,
-			CapacityRows:      shardCap,
-		}
-		if reg != nil {
-			dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
-		}
-		if r := opts.Router; r != nil {
-			dopts.OnMutate = func(v []float64) { r.Observe(shardID, v) }
-			dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(shardID, base) }
-		}
-		if opts.WriteBudget > 0 {
-			if opts.Framework != nil {
-				model := pim.ModelFor(opts.Framework.Cfg)
-				dopts.Model = &model
-				dopts.Ledger, err = delta.NewLedger(opts.Framework.Cfg.NumCrossbars(), opts.WriteBudget)
-			} else {
-				dopts.Ledger, err = delta.NewLedger(2, opts.WriteBudget)
-			}
-			if err != nil {
-				return nil, err
-			}
+		dopts, err := e.storeOptions(build, id, 0, reg)
+		if err != nil {
+			return nil, err
 		}
 		sh := snap.Shards[id]
 		m := &vec.Matrix{N: len(sh.IDs), D: snap.Dims, Data: sh.Data}
-		st, err := delta.Restore(m, sh.IDs, snap.NextID, dopts)
-		if err != nil {
+		if e.stores[id], err = delta.Restore(m, sh.IDs, snap.NextID, dopts); err != nil {
 			return nil, fmt.Errorf("serve: restoring shard %d: %w", id, err)
 		}
-		e.stores = append(e.stores, st)
 		for _, gid := range sh.IDs {
 			e.routes[gid] = id
 		}
@@ -379,7 +312,7 @@ func (e *MutableEngine) applyReplay(rec wal.Record) error {
 // with the mutation stream, so the init view plus the event sequence
 // exactly tracks the engine's applied mutations.
 func (e *MutableEngine) SubscribeKNN(q []float64, k int) (*standing.Subscription, error) {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +329,7 @@ func (e *MutableEngine) SubscribeKNN(q []float64, k int) (*standing.Subscription
 // SubscribeRadius registers a radius watch: a KindMatch event for every
 // future insert within Euclidean distance radius of q.
 func (e *MutableEngine) SubscribeRadius(q []float64, radius float64) (*standing.Subscription, error) {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -411,11 +344,16 @@ func (e *MutableEngine) SubscribeRadius(q []float64, radius float64) (*standing.
 }
 
 // Unsubscribe removes a standing subscription and closes its event
-// channel. Safe on unknown ids and after Close.
-func (e *MutableEngine) Unsubscribe(id int) {
-	if e.standing != nil {
-		e.standing.Unsubscribe(id)
+// channel. Unknown ids are a no-op; after Close (which ends every
+// subscription) it returns ErrClosed.
+func (e *MutableEngine) Unsubscribe(id int) error {
+	release, err := e.Acquire()
+	if err != nil {
+		return err
 	}
+	defer release()
+	e.standing.Unsubscribe(id)
+	return nil
 }
 
 // StandingView returns a copy of a kNN subscription's current result

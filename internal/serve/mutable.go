@@ -11,21 +11,16 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"pimmine/internal/arch"
 	"pimmine/internal/delta"
 	"pimmine/internal/knn"
 	"pimmine/internal/obs"
 	"pimmine/internal/pim"
-	"pimmine/internal/pool"
 	"pimmine/internal/quant"
-	"pimmine/internal/route"
 	"pimmine/internal/standing"
 	"pimmine/internal/vec"
 	"pimmine/internal/wal"
@@ -68,8 +63,13 @@ type MutableOptions struct {
 // stay lock-free against Insert/Update/Delete and background
 // compaction, per shard, via delta's epoch snapshots. Mutations
 // serialize on the engine's routing lock (mutation throughput is not
-// the design target; query concurrency is).
+// the design target; query concurrency is). Options.Resilience engages
+// admission and shedding but no per-shard breakers: compaction rebuilds
+// searchers each epoch, so a fault-storming epoch already heals through
+// the delta layer's degraded-rebuild path rather than a breaker's
+// cool-down.
 type MutableEngine struct {
+	*pipeline
 	d      int
 	opts   MutableOptions
 	stores []*delta.Store
@@ -80,16 +80,6 @@ type MutableEngine struct {
 	nextID int
 	rr     int
 	routes map[int]int // inserted id → shard
-
-	// res carries admission control and deadline-aware shedding (nil when
-	// Options.Resilience is nil). The mutable engine takes no per-shard
-	// breakers: compaction rebuilds searchers each epoch, so a
-	// fault-storming epoch already heals through the delta layer's
-	// degraded-rebuild path rather than a breaker's cool-down.
-	res *engineResilience
-
-	closeMu sync.RWMutex
-	closed  bool
 
 	degraded []bool // per shard: variant build failed, serving host scan
 
@@ -112,117 +102,35 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	if opts.Shards <= 0 {
-		if opts.Router != nil {
-			opts.Shards = opts.Router.NumShards()
-		} else {
-			opts.Shards = runtime.GOMAXPROCS(0)
-		}
+	opts.Options = opts.Options.withDefaults(data.N)
+	s := opts.Shards
+	e := &MutableEngine{
+		d:        data.D,
+		opts:     opts,
+		stores:   make([]*delta.Store, s),
+		nextID:   data.N,
+		routes:   make(map[int]int),
+		degraded: make([]bool, s),
 	}
-	if opts.Shards > data.N {
-		opts.Shards = data.N
-	}
-	if err := checkRouter(opts.Router, opts.Shards, data.D); err != nil {
-		return nil, err
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.CapacityN <= 0 {
-		opts.CapacityN = data.N
-	}
-	if opts.Variant == "" {
-		opts.Variant = VariantStandard
-	}
-	build, err := variantBuilder(opts.Options)
+	build, err := e.start()
 	if err != nil {
 		return nil, err
 	}
-	var res *engineResilience
-	if opts.Resilience != nil {
-		if res, err = newEngineResilience(opts.Resilience); err != nil {
-			return nil, err
-		}
-		if mc := opts.Resilience.MaxConcurrent; mc > 0 && opts.Workers > mc {
-			opts.Workers = mc
-		}
-	}
-	e := &MutableEngine{
-		d:      data.D,
-		opts:   opts,
-		nextID: data.N,
-		routes: make(map[int]int),
-		res:    res,
-	}
-	shardCap := shardCapacity(opts.Options)
-	var reg *obs.Registry
-	if opts.Obs != nil {
-		reg = opts.Obs.Registry()
-	}
-	s := opts.Shards
+	reg := opts.Obs.Registry()
 	base, rem := data.N/s, data.N%s
 	lo := 0
-	e.degraded = make([]bool, s)
 	for id := 0; id < s; id++ {
 		rows := base
 		if id < rem {
 			rows++
 		}
-		shardID := id
-		// Graceful degradation mirrors the immutable engine: a variant
-		// build failure (e.g. dead crossbars after fault injection)
-		// falls back to the exact host scan for that epoch and is
-		// reported, never fatal. The ledger charge stands — the
-		// programming attempt happened.
-		factory := func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			srch, err := build(m, capacityN)
-			if err != nil {
-				e.degraded[shardID] = true
-				return knn.NewStandard(m), nil
-			}
-			return srch, nil
-		}
-		dopts := delta.Options{
-			Factory:           factory,
-			MaxDelta:          opts.MaxDelta,
-			MaxTombstoneRatio: opts.MaxTombstoneRatio,
-			AutoCompact:       opts.AutoCompact,
-			CapacityRows:      shardCap,
-			IDOffset:          lo,
-		}
-		if reg != nil {
-			dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
-		}
-		if r := opts.Router; r != nil {
-			// Summary maintenance rides the store's mutation lock: every
-			// insert/update conservatively grows the shard's summary
-			// before the row becomes visible, and every compaction
-			// rebuilds it tight from the fresh live base image — so the
-			// published summary always covers the published snapshot and
-			// exact routing stays admissible through churn.
-			dopts.OnMutate = func(v []float64) { r.Observe(shardID, v) }
-			dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(shardID, base) }
-		}
-		if opts.WriteBudget > 0 {
-			if opts.Framework != nil {
-				model := pim.ModelFor(opts.Framework.Cfg)
-				dopts.Model = &model
-				dopts.Ledger, err = delta.NewLedger(opts.Framework.Cfg.NumCrossbars(), opts.WriteBudget)
-			} else {
-				// Host variants: image-granularity accounting with
-				// double buffering (old epoch holds its tile until the
-				// last reader drains).
-				dopts.Ledger, err = delta.NewLedger(2, opts.WriteBudget)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		st, err := delta.New(data.Slice(lo, lo+rows), dopts)
+		dopts, err := e.storeOptions(build, id, lo, reg)
 		if err != nil {
+			return nil, err
+		}
+		if e.stores[id], err = delta.New(data.Slice(lo, lo+rows), dopts); err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", id, err)
 		}
-		e.stores = append(e.stores, st)
 		e.bounds = append(e.bounds, lo)
 		lo += rows
 	}
@@ -238,11 +146,88 @@ func NewMutable(data *vec.Matrix, opts MutableOptions) (*MutableEngine, error) {
 	return e, nil
 }
 
-// NumShards returns the partition count in effect.
-func (e *MutableEngine) NumShards() int { return len(e.stores) }
+// start builds the engine's query pipeline over its (still empty) shard
+// slots and resolves the variant builder its stores are made with.
+func (e *MutableEngine) start() (capFactory, error) {
+	var err error
+	if e.pipeline, err = NewPipeline((*mutableShards)(e), e.d, e.opts.Options); err != nil {
+		return nil, err
+	}
+	return variantBuilder(e.opts.Options)
+}
 
-// Router returns the attached shard router (nil when unrouted).
-func (e *MutableEngine) Router() *route.Router { return e.opts.Router }
+// storeOptions configures shard id's delta store; idOffset is the
+// global id of its first initial row.
+func (e *MutableEngine) storeOptions(build capFactory, id, idOffset int, reg *obs.Registry) (delta.Options, error) {
+	opts := e.opts
+	// Graceful degradation mirrors the immutable engine: a variant build
+	// failure (e.g. dead crossbars after fault injection) falls back to
+	// the exact host scan for that epoch and is reported, never fatal.
+	// The ledger charge stands — the programming attempt happened.
+	factory := func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+		srch, err := build(m, capacityN)
+		if err != nil {
+			e.degraded[id] = true
+			return knn.NewStandard(m), nil
+		}
+		return srch, nil
+	}
+	dopts := delta.Options{
+		Factory:           factory,
+		MaxDelta:          opts.MaxDelta,
+		MaxTombstoneRatio: opts.MaxTombstoneRatio,
+		AutoCompact:       opts.AutoCompact,
+		CapacityRows:      shardCapacity(opts.Options),
+		IDOffset:          idOffset,
+	}
+	if reg != nil {
+		dopts.Metrics = delta.NewMetrics(reg, obs.Label{Key: "shard", Value: fmt.Sprint(id)})
+	}
+	if r := opts.Router; r != nil {
+		// Summary maintenance rides the store's mutation lock: every
+		// insert/update conservatively grows the shard's summary before
+		// the row becomes visible, and every compaction rebuilds it tight
+		// from the fresh live base image — so the published summary
+		// always covers the published snapshot and exact routing stays
+		// admissible through churn.
+		dopts.OnMutate = func(v []float64) { r.Observe(id, v) }
+		dopts.OnCompact = func(base *vec.Matrix) { r.Refresh(id, base) }
+	}
+	if opts.WriteBudget > 0 {
+		var err error
+		if opts.Framework != nil {
+			model := pim.ModelFor(opts.Framework.Cfg)
+			dopts.Model = &model
+			dopts.Ledger, err = delta.NewLedger(opts.Framework.Cfg.NumCrossbars(), opts.WriteBudget)
+		} else {
+			// Host variants: image-granularity accounting with double
+			// buffering (old epoch holds its tile until the last reader
+			// drains).
+			dopts.Ledger, err = delta.NewLedger(2, opts.WriteBudget)
+		}
+		if err != nil {
+			return delta.Options{}, err
+		}
+	}
+	return dopts, nil
+}
+
+// mutableShards is the MutableEngine's ShardSet: one delta store per
+// shard, searched lock-free against mutations and compaction.
+type mutableShards MutableEngine
+
+func (s *mutableShards) NumShards() int        { return len(s.stores) }
+func (s *mutableShards) Servable(int) bool     { return true }
+func (s *mutableShards) DegradedShards() []int { return (*MutableEngine)(s).DegradedShards() }
+
+func (s *mutableShards) Visit(_ context.Context, i int, q []float64, k int) ([]vec.Neighbor, *arch.Meter, bool, error) {
+	m := arch.NewMeter()
+	nn, err := s.stores[i].Search(q, k, m)
+	if err != nil {
+		return nil, m, false, fmt.Errorf("serve: shard %d: %w", i, err)
+	}
+	return nn, m, false, nil
+}
 
 // DegradedShards returns the ids of shards whose current epoch serves
 // the host fallback.
@@ -299,7 +284,7 @@ func (e *MutableEngine) logMutation(op wal.Op, sh, id int, v []float64) error {
 // durable engine the insert is logged (and, under wal.SyncAlways,
 // fsynced) before it is applied.
 func (e *MutableEngine) Insert(v []float64) (int, error) {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return 0, err
 	}
@@ -327,7 +312,7 @@ func (e *MutableEngine) Insert(v []float64) (int, error) {
 // Update replaces the vector of an existing id in place (the id, and
 // with it the tie order, is preserved).
 func (e *MutableEngine) Update(id int, v []float64) error {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return err
 	}
@@ -353,7 +338,7 @@ func (e *MutableEngine) Update(id int, v []float64) error {
 
 // Delete removes an id.
 func (e *MutableEngine) Delete(id int) error {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return err
 	}
@@ -375,186 +360,12 @@ func (e *MutableEngine) Delete(id int) error {
 	return nil
 }
 
-// acquireMut and acquireQuery gate operations against Close. Queries
-// and mutations both hold the read side; Close takes the write side, so
-// it drains everything in flight and is idempotent.
-func (e *MutableEngine) acquireMut() (func(), error) {
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, ErrClosed
-	}
-	return e.closeMu.RUnlock, nil
-}
-
-// Search answers one exact kNN query over the live rows of every shard.
-// It never blocks on mutations or compactions. With Options.Resilience
-// set, admission control and deadline-aware shedding run in front of the
-// fan-out exactly as on the immutable engine (typed
-// resilience.ErrOverloaded / resilience.ErrShedDeadline rejections); an
-// Options.QueryTimeout surfaces as ErrQueryTimeout.
-func (e *MutableEngine) Search(ctx context.Context, q []float64, k int) (*Result, error) {
-	return e.SearchMode(ctx, q, k, route.ModeAuto)
-}
-
-// SearchMode is Search with an explicit routing mode (see
-// Engine.SearchMode; the mutable engine routes over summaries kept
-// fresh through churn by the delta layer's OnMutate/OnCompact hooks).
-func (e *MutableEngine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (*Result, error) {
-	release, err := e.acquireMut()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.d {
-		return nil, fmt.Errorf("serve: query has %d dims, dataset has %d", len(q), e.d)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: need k >= 1, got %d", k)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if lrelease, lerr := e.res.admit(ctx); lerr != nil {
-		return nil, lerr
-	} else if lrelease != nil {
-		defer lrelease()
-	}
-	if e.opts.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, e.opts.QueryTimeout, ErrQueryTimeout)
-		defer cancel()
-	}
-	if serr := e.res.checkShed(ctx); serr != nil {
-		return nil, serr
-	}
-	start := time.Now()
-	outs, info, err := routeDispatch(e.opts.Router, len(e.stores), q, k, mode,
-		func(ids []int) ([]shardOut, error) { return e.fanOutStores(ctx, q, k, ids) },
-		func(ri *RouteInfo, _ time.Duration) { e.opts.Router.NoteOutcome(ri.Visited, ri.Skipped) })
-	if err != nil {
-		return nil, err
-	}
-	meters := make([]*arch.Meter, len(e.stores))
-	lists := make([][]vec.Neighbor, 0, len(outs))
-	for _, o := range outs {
-		meters[o.id] = o.meter
-		lists = append(lists, o.nn)
-	}
-	meter := arch.NewMeter()
-	for _, m := range meters {
-		if m != nil {
-			meter.Merge(m)
-		}
-	}
-	if e.res != nil {
-		e.res.shed.Observe(time.Since(start))
-	}
-	return &Result{
-		Neighbors:   vec.MergeNeighbors(k, lists...),
-		Meter:       meter,
-		ShardMeters: meters,
-		Degraded:    e.DegradedShards(),
-		Routed:      info,
-	}, nil
-}
-
-// fanOutStores dispatches one query to the given store ids in parallel
-// and collects every answer (ids nil = all stores).
-func (e *MutableEngine) fanOutStores(ctx context.Context, q []float64, k int, ids []int) ([]shardOut, error) {
-	if ids == nil {
-		ids = make([]int, len(e.stores))
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	type out struct {
-		shardOut
-		err error
-	}
-	ch := make(chan out, len(ids))
-	for _, i := range ids {
-		go func(i int, st *delta.Store) {
-			m := arch.NewMeter()
-			nn, err := st.Search(q, k, m)
-			ch <- out{shardOut: shardOut{id: i, nn: nn, meter: m}, err: err}
-		}(i, e.stores[i])
-	}
-	outs := make([]shardOut, 0, len(ids))
-	type shardErr struct {
-		id  int
-		err error
-	}
-	var fails []shardErr
-	for range ids {
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				// Keep collecting: the caller sees every failed shard
-				// joined (matching the pool's errors.Join discipline),
-				// not just whichever one lost the race.
-				fails = append(fails, shardErr{id: o.id, err: o.err})
-				continue
-			}
-			outs = append(outs, o.shardOut)
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	if len(fails) > 0 {
-		sort.Slice(fails, func(i, j int) bool { return fails[i].id < fails[j].id })
-		errs := make([]error, len(fails))
-		for i, f := range fails {
-			errs[i] = fmt.Errorf("serve: shard %d: %w", f.id, f.err)
-		}
-		return nil, errors.Join(errs...)
-	}
-	return outs, nil
-}
-
-// SearchBatch answers a query matrix through a bounded worker pool,
-// exactly like the immutable engine's batch path.
-func (e *MutableEngine) SearchBatch(ctx context.Context, queries *vec.Matrix, k int) (*BatchResult, error) {
-	return e.SearchBatchMode(ctx, queries, k, route.ModeAuto)
-}
-
-// SearchBatchMode is SearchBatch with an explicit routing mode.
-func (e *MutableEngine) SearchBatchMode(ctx context.Context, queries *vec.Matrix, k int, mode route.Mode) (*BatchResult, error) {
-	if queries == nil || queries.N == 0 {
-		return &BatchResult{Meter: arch.NewMeter()}, nil
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: batch needs k >= 1, got %d", k)
-	}
-	res := &BatchResult{
-		Results: make([]*Result, queries.N),
-		Meter:   arch.NewMeter(),
-	}
-	err := pool.Run(ctx, queries.N, e.opts.Workers, func(w int) (pool.Worker, error) {
-		return func(qi int) error {
-			r, err := e.SearchMode(ctx, queries.Row(qi), k, mode)
-			if err != nil {
-				return fmt.Errorf("serve: query %d: %w", qi, err)
-			}
-			res.Results[qi] = r
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range res.Results {
-		res.Meter.Merge(r.Meter)
-	}
-	return res, nil
-}
-
 // Compact folds every shard's delta and tombstones into fresh base
 // images (shards compact independently; a shard with nothing to fold is
 // a no-op). The first error aborts and is returned; remaining shards
 // keep their current epochs.
 func (e *MutableEngine) Compact(meter *arch.Meter) error {
-	release, err := e.acquireMut()
+	release, err := e.Acquire()
 	if err != nil {
 		return err
 	}
@@ -622,11 +433,7 @@ func (e *MutableEngine) Materialize() (*vec.Matrix, []int) {
 // caller retrying after a failed flush can tell "already shut down"
 // from a fresh flush failure.
 func (e *MutableEngine) Close() error {
-	e.closeMu.Lock()
-	already := e.closed
-	e.closed = true
-	e.closeMu.Unlock()
-	if already {
+	if e.pipeline.Close() != nil {
 		if e.log != nil {
 			return ErrClosed
 		}
@@ -651,10 +458,6 @@ func (e *MutableEngine) Close() error {
 	return nil
 }
 
-// Dims returns the dataset dimensionality (the wire layer validates
-// query vectors against it).
-func (e *MutableEngine) Dims() int { return e.d }
-
 // Rows returns the current live row count across shards.
 func (e *MutableEngine) Rows() int {
 	total := 0
@@ -663,6 +466,3 @@ func (e *MutableEngine) Rows() int {
 	}
 	return total
 }
-
-// Workers returns the effective batch worker count.
-func (e *MutableEngine) Workers() int { return e.opts.Workers }

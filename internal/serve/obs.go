@@ -7,10 +7,11 @@ import (
 	"pimmine/internal/obs"
 )
 
-// engineObs holds the engine's registered metric handles. A nil
+// engineObs holds a pipeline's registered metric handles. A nil
 // *engineObs (observability off) keeps the hot path at one pointer check.
 type engineObs struct {
 	o            *obs.Observer
+	names        []string // per-shard span labels, built off the hot path
 	queries      *obs.Counter
 	errors       *obs.Counter
 	latency      *obs.Histogram
@@ -20,10 +21,9 @@ type engineObs struct {
 
 	// Resilience pipeline metrics (registered regardless of whether
 	// Options.Resilience is set; they just stay zero without it).
-	rejected    *obs.Counter
-	shed        *obs.Counter
-	retries     *obs.Counter
-	breakerHost *obs.Counter
+	rejected  *obs.Counter
+	shed      *obs.Counter
+	fallbacks *obs.Counter
 
 	// Routing tier metrics (stay zero without Options.Router).
 	routeQueries        *obs.Counter
@@ -57,23 +57,9 @@ func (eo *engineObs) noteShed() {
 	eo.shed.Inc()
 }
 
-func (eo *engineObs) noteRetries(n int) {
-	if eo == nil {
-		return
-	}
-	eo.retries.Add(int64(n))
-}
-
-func (eo *engineObs) noteBreakerHostServe() {
-	if eo == nil {
-		return
-	}
-	eo.breakerHost.Inc()
-}
-
-// newEngineObs registers the engine's metrics and scrape-time collectors
-// with the observer's registry.
-func newEngineObs(e *Engine, o *obs.Observer) *engineObs {
+// newEngineObs registers the pipeline's metrics and scrape-time
+// collector with the observer's registry.
+func newEngineObs(p *Pipeline, o *obs.Observer) *engineObs {
 	reg := o.Registry()
 	eo := &engineObs{
 		o:       o,
@@ -87,10 +73,8 @@ func newEngineObs(e *Engine, o *obs.Observer) *engineObs {
 			"Queries refused by admission control (resilience.ErrOverloaded)."),
 		shed: reg.Counter("pim_serve_shed_total",
 			"Queries shed because the remaining deadline was below the observed p95 (resilience.ErrShedDeadline)."),
-		retries: reg.Counter("pim_serve_pim_retries_total",
-			"Transient-fault PIM retries spent from the engine retry budget."),
-		breakerHost: reg.Counter("pim_serve_breaker_host_serves_total",
-			"Shard queries served by the exact host scan because the shard's circuit breaker was open."),
+		fallbacks: reg.Counter("pim_serve_breaker_host_serves_total",
+			"Shard queries served by a fallback: the exact host scan behind an open circuit breaker, or a replica fail-over."),
 		routeQueries: reg.Counter("pim_route_queries_total",
 			"Queries that passed through the shard-routing tier."),
 		routeVisited: reg.Counter("pim_route_shards_visited_total",
@@ -106,26 +90,64 @@ func newEngineObs(e *Engine, o *obs.Observer) *engineObs {
 		routeMeasuredRecall: reg.Histogram("pim_route_measured_recall",
 			"Audited (measured) recall of approximate answers.", recallBuckets),
 	}
-	eo.shardQueries = make([]*obs.Counter, len(e.shards))
-	for i := range e.shards {
+	n := p.shards.NumShards()
+	eo.names = make([]string, n)
+	eo.shardQueries = make([]*obs.Counter, n)
+	for i := range eo.names {
+		eo.names[i] = fmt.Sprintf("shard %d", i)
 		eo.shardQueries[i] = reg.Counter("pim_serve_shard_queries_total",
 			"Per-shard query fan-out count.", obs.Label{Key: "shard", Value: fmt.Sprint(i)})
 	}
-	reg.RegisterCollector(e.collectMetrics)
-	if n := len(e.degraded); n > 0 {
-		o.Event("serve.degraded-shards", obs.A("shards", fmt.Sprint(e.degraded)))
+	reg.RegisterCollector(p.collectMetrics)
+	if d := p.shards.DegradedShards(); len(d) > 0 {
+		o.Event("serve.degraded-shards", obs.A("shards", fmt.Sprint(d)))
 	}
 	return eo
 }
 
-// collectMetrics snapshots scrape-time state: shard topology, the merged
-// cumulative arch.Meter (per-function call counts plus aggregate hardware
-// activity), and the fault layer's corrected/recovered dot counters.
-func (e *Engine) collectMetrics(emit func(obs.Sample)) {
+// collectMetrics snapshots the pipeline's scrape-time state: shard
+// topology, routing selectivity, and the admission, retry and shedding
+// state of the resilience layer.
+func (p *Pipeline) collectMetrics(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "pim_serve_shards", Help: "Shard count in effect.",
-		Type: obs.TypeGauge, Value: float64(len(e.shards))})
+		Type: obs.TypeGauge, Value: float64(p.shards.NumShards())})
 	emit(obs.Sample{Name: "pim_serve_degraded_shards", Help: "Shards serving the host-scan fallback.",
-		Type: obs.TypeGauge, Value: float64(len(e.degraded))})
+		Type: obs.TypeGauge, Value: float64(len(p.shards.DegradedShards()))})
+	if r := p.router; r != nil {
+		emit(obs.Sample{Name: "pim_route_selectivity",
+			Help: "Observed lifetime fraction of shards skipped by the routing tier.",
+			Type: obs.TypeGauge, Value: r.Selectivity()})
+	}
+	if p.res == nil {
+		return
+	}
+	// Limiter occupancy, retry tokens, and the shedder's p95 threshold
+	// (in µs — collector values truncate to integers at scrape time).
+	if lim := p.res.lim; lim != nil {
+		emit(obs.Sample{Name: "pim_serve_admitted_inflight",
+			Help: "Queries holding an admission slot.",
+			Type: obs.TypeGauge, Value: float64(lim.InFlight())})
+		emit(obs.Sample{Name: "pim_serve_admission_queued",
+			Help: "Queries waiting in the bounded admission queue.",
+			Type: obs.TypeGauge, Value: float64(lim.Queued())})
+	}
+	if rb := p.res.retry; rb != nil {
+		emit(obs.Sample{Name: "pim_serve_retry_tokens",
+			Help: "Retry-budget tokens currently available (floor).",
+			Type: obs.TypeGauge, Value: rb.Tokens()})
+	}
+	if p95, n := p.res.shed.P95(); n > 0 {
+		emit(obs.Sample{Name: "pim_serve_shed_p95_micros",
+			Help: "Observed p95 service time the shedder compares deadlines against.",
+			Type: obs.TypeGauge, Value: float64(p95.Microseconds())})
+	}
+}
+
+// collectMetrics snapshots the immutable engine's own scrape-time state:
+// shard sizes, the merged cumulative arch.Meter (per-function call counts
+// plus aggregate hardware activity), the fault layer's corrected and
+// recovered dot counters, and the per-shard breakers.
+func (e *Engine) collectMetrics(emit func(obs.Sample)) {
 	for _, sh := range e.shards {
 		emit(obs.Sample{Name: "pim_serve_shard_rows", Help: "Rows owned by each shard.",
 			Type: obs.TypeGauge, Labels: []obs.Label{{Key: "shard", Value: fmt.Sprint(sh.id)}},
@@ -158,18 +180,9 @@ func (e *Engine) collectMetrics(emit func(obs.Sample)) {
 			Value: float64(m.Get(fn).Calls)})
 	}
 
-	if r := e.opts.Router; r != nil {
-		emit(obs.Sample{Name: "pim_route_selectivity",
-			Help: "Observed lifetime fraction of shards skipped by the routing tier.",
-			Type: obs.TypeGauge, Value: r.Selectivity()})
-	}
-
 	if e.res == nil {
 		return
 	}
-	// Resilience state: breaker positions per shard, cumulative trips,
-	// limiter occupancy, retry tokens, and the shedder's p95 threshold
-	// (in µs — collector values truncate to integers at scrape time).
 	for i, st := range e.BreakerStates() {
 		emit(obs.Sample{Name: "pim_serve_breaker_state",
 			Help: "Per-shard circuit breaker state (0 closed, 1 open, 2 half-open).",
@@ -179,24 +192,6 @@ func (e *Engine) collectMetrics(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "pim_serve_breaker_trips_total",
 		Help: "Circuit breaker trips across all shards.",
 		Type: obs.TypeCounter, Value: float64(e.BreakerTrips())})
-	if lim := e.res.lim; lim != nil {
-		emit(obs.Sample{Name: "pim_serve_admitted_inflight",
-			Help: "Queries holding an admission slot.",
-			Type: obs.TypeGauge, Value: float64(lim.InFlight())})
-		emit(obs.Sample{Name: "pim_serve_admission_queued",
-			Help: "Queries waiting in the bounded admission queue.",
-			Type: obs.TypeGauge, Value: float64(lim.Queued())})
-	}
-	if rb := e.res.retry; rb != nil {
-		emit(obs.Sample{Name: "pim_serve_retry_tokens",
-			Help: "Retry-budget tokens currently available (floor).",
-			Type: obs.TypeGauge, Value: rb.Tokens()})
-	}
-	if p95, n := e.res.shed.P95(); n > 0 {
-		emit(obs.Sample{Name: "pim_serve_shed_p95_micros",
-			Help: "Observed p95 service time the shedder compares deadlines against.",
-			Type: obs.TypeGauge, Value: float64(p95.Microseconds())})
-	}
 }
 
 // annotateFaults attaches fault-recovery events from a query's private

@@ -16,6 +16,7 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/knn"
+	"pimmine/internal/obs"
 	"pimmine/internal/resilience"
 	"pimmine/internal/vec"
 )
@@ -88,44 +89,34 @@ func classifyFaults(m *arch.Meter) (fail, transient bool) {
 	return fail, transient
 }
 
-// shardAnswer is one shard's contribution to a query, with the
-// resilience annotations the fan-out layer reports on spans and metrics.
-type shardAnswer struct {
-	nn    []vec.Neighbor
-	meter *arch.Meter
-	// breakerOpen reports that the shard's breaker refused the PIM path
-	// and the exact host scan served instead.
-	breakerOpen bool
-	// retries counts transient-fault retries spent on this shard.
-	retries int
-}
-
 // search runs one query on the shard through its breaker and retry
-// budget. The flow generalizes the one-shot DeadDot fallback of
+// budget, reporting whether an open breaker rerouted it to the host
+// scan. The flow generalizes the one-shot DeadDot fallback of
 // internal/fault into a stateful loop: an open breaker serves the exact
 // host scan; a closed (or probing) breaker runs the PIM path, retries
 // once on a transient fault if the engine-wide budget allows, and
 // reports the final outcome back to the breaker.
-func (sh *shard) search(ctx context.Context, q []float64, k int) shardAnswer {
+func (sh *shard) search(ctx context.Context, q []float64, k int) (nn []vec.Neighbor, m *arch.Meter, breakerOpen bool) {
 	var done func(ok bool)
 	if sh.breaker != nil {
 		var err error
 		done, err = sh.breaker.Allow()
 		if err != nil { // resilience.ErrCircuitOpen: reroute, never fail
-			nn, m := sh.searchOnce(ctx, q, k, true)
-			return shardAnswer{nn: nn, meter: m, breakerOpen: true}
+			nn, m = sh.searchOnce(ctx, q, k, true)
+			obs.SpanFromContext(ctx).Annotate("breaker-open", obs.A("path", "host-scan"))
+			return nn, m, true
 		}
 	}
-	nn, m := sh.searchOnce(ctx, q, k, false)
+	nn, m = sh.searchOnce(ctx, q, k, false)
 	fail, transient := classifyFaults(m)
-	retries := 0
 	if fail && transient && sh.retry.Allow() {
 		if resilience.Sleep(ctx, sh.retry.Backoff(0)) == nil {
-			retries = 1
 			nn2, m2 := sh.searchOnce(ctx, q, k, false)
 			fail, _ = classifyFaults(m2)
 			m.Merge(m2) // the query really did both attempts' work
 			nn = nn2
+			sh.retries.Inc()
+			obs.SpanFromContext(ctx).Annotate("pim-retry", obs.A("retries", 1))
 		}
 	}
 	if done != nil {
@@ -134,7 +125,7 @@ func (sh *shard) search(ctx context.Context, q []float64, k int) shardAnswer {
 	if !fail {
 		sh.retry.OnSuccess()
 	}
-	return shardAnswer{nn: nn, meter: m, retries: retries}
+	return nn, m, false
 }
 
 // searchOnce is one attempt on one path: the shard's configured searcher

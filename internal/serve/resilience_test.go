@@ -574,8 +574,8 @@ func TestMutableEngineResilience(t *testing.T) {
 	}
 	// Batch workers are clamped to MaxConcurrent, so a batch never
 	// rejects its own jobs.
-	if e.opts.Workers != 1 {
-		t.Fatalf("workers = %d, want clamped to MaxConcurrent=1", e.opts.Workers)
+	if e.Workers() != 1 {
+		t.Fatalf("workers = %d, want clamped to MaxConcurrent=1", e.Workers())
 	}
 	if _, err := e.SearchBatch(context.Background(), queries, 3); err != nil {
 		t.Fatalf("mutable batch under resilience: %v", err)

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"pimmine/internal/obs"
@@ -78,189 +77,134 @@ func checkRouter(r *route.Router, shards, dims int) error {
 	return nil
 }
 
-// dispatch runs the routing stage and fans the query out to the visit
-// set. Unrouted engines fan out to everything with a nil RouteInfo.
-func (e *Engine) dispatch(ctx context.Context, root *obs.Span, q []float64, k int, mode route.Mode) ([]shardOut, *RouteInfo, error) {
-	fan := func(ids []int) ([]shardOut, error) { return e.fanOut(ctx, root, q, k, ids) }
-	return routeDispatch(e.opts.Router, len(e.shards), q, k, mode, fan,
-		func(info *RouteInfo, d time.Duration) { e.noteRouted(root, info, d) })
-}
-
-// routeDispatch is the engine-agnostic routing stage: it decides the
-// visit set and drives the fan-out closure, which hides whether shards
-// are static searchers (Engine) or mutable delta stores (MutableEngine).
-// fan(nil) means "all shards".
-func routeDispatch(r *route.Router, nShards int, q []float64, k int, mode route.Mode,
-	fan func(ids []int) ([]shardOut, error), note func(*RouteInfo, time.Duration)) ([]shardOut, *RouteInfo, error) {
+// route runs the routing stage and fans the query out to the visit set,
+// returning one slot per shard. Unrouted pipelines fan out to everything
+// with a nil RouteInfo.
+func (p *Pipeline) route(ctx context.Context, root *obs.Span, q []float64, k int, mode route.Mode) ([]visit, *RouteInfo, error) {
+	vs := make([]visit, p.shards.NumShards())
+	fan := func(vs []visit, ids []int) error { return p.fanOut(ctx, p.eobs, root, vs, q, k, ids) }
+	r := p.router
 	if r == nil {
 		if mode != route.ModeAuto {
 			return nil, nil, ErrNoRouter
 		}
-		outs, err := fan(nil)
-		return outs, nil, err
+		return vs, nil, fan(vs, nil)
 	}
 	if mode == route.ModeAuto {
 		mode = r.DefaultMode()
 	}
 	start := time.Now()
+	var info *RouteInfo
 	switch mode {
 	case route.ModeExact:
-		order, lbs := r.ExactOrder(q)
+		order, lbs := r.ExactOrderAvail(q, p.shards.Servable)
 		routeDur := time.Since(start)
-		// Wave 1: the best-lower-bound shard seeds the pruning threshold.
-		first, err := fan(order[:1])
-		if err != nil {
+		// Wave 1: the best-lower-bound servable shard seeds the pruning
+		// threshold τ, its k-th candidate distance — or +Inf when it holds
+		// fewer than k rows, and then nothing can be proven out.
+		if err := fan(vs, order[:1]); err != nil {
 			return nil, nil, err
 		}
-		tau := firstKth(first, k)
+		tau := math.Inf(1)
+		if nn := vs[order[0]].nn; len(nn) >= k {
+			tau = nn[k-1].Dist
+		}
 		visit := make([]int, 0, len(order)-1)
-		var skipped []int
 		for _, id := range order[1:] {
 			if lbs[id] <= tau {
 				visit = append(visit, id)
-			} else {
-				skipped = append(skipped, id)
 			}
 		}
-		rest, err := fan(visit)
-		if err != nil {
+		if err := fan(vs, visit); err != nil {
 			return nil, nil, err
 		}
-		outs := append(first, rest...)
-		sort.Ints(skipped)
-		info := &RouteInfo{Mode: route.ModeExact, Visited: 1 + len(visit),
-			Skipped: len(skipped), SkippedShards: skipped, EstRecall: 1}
-		note(info, routeDur)
-		return outs, info, nil
+		info = routeInfo(vs, route.ModeExact, 1)
+		p.noteRouted(root, info, routeDur)
 
 	case route.ModeApprox:
-		visit, est := r.ApproxPlan(q, 0)
+		ids, est := r.ApproxPlan(q, 0)
 		routeDur := time.Since(start)
-		skipped := complement(visit, nShards)
-		info := &RouteInfo{Mode: route.ModeApprox, Visited: len(visit),
-			Skipped: len(skipped), SkippedShards: skipped, EstRecall: est}
-		outs, err := fan(visit)
-		if err != nil {
+		if err := fan(vs, ids); err != nil {
 			return nil, nil, err
 		}
-		if len(skipped) > 0 && r.Audit() {
+		info = routeInfo(vs, route.ModeApprox, est)
+		if info.Skipped > 0 && r.Audit() {
 			// Audit: search the skipped shards too and measure the routed
-			// answer's recall against the full fan-out. The audit outs are
-			// dropped — the served answer stays the routed one, and its
-			// meters model the routed work.
-			auditOuts, aerr := fan(skipped)
-			if aerr == nil {
+			// answer's recall against the full fan-out. The audit answers
+			// are dropped — the served answer stays the routed one, and
+			// its meters model the routed work.
+			audit := make([]visit, len(vs))
+			if fan(audit, info.SkippedShards) == nil {
 				info.Audited = true
-				info.MeasuredRecall = measureRecall(outs, auditOuts, k)
+				info.MeasuredRecall = measureRecall(vs, audit, k)
 			}
 		}
-		note(info, routeDur)
-		return outs, info, nil
+		p.noteRouted(root, info, routeDur)
 
 	default:
 		return nil, nil, fmt.Errorf("serve: unknown routing mode %q", mode)
 	}
-}
-
-// firstKth extracts the pruning threshold τ from the wave-1 answer: the
-// k-th candidate distance, or +Inf when the shard holds fewer than k
-// rows (then nothing can be proven out and every shard is visited).
-func firstKth(first []shardOut, k int) float64 {
-	if len(first) == 1 && len(first[0].nn) >= k {
-		return first[0].nn[k-1].Dist
-	}
-	return math.Inf(1)
-}
-
-// complement returns 0..n-1 minus the sorted-or-not visit set, ascending.
-func complement(visit []int, n int) []int {
-	in := make([]bool, n)
-	for _, id := range visit {
-		in[id] = true
-	}
-	var out []int
-	for id := 0; id < n; id++ {
-		if !in[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return vs, info, nil
 }
 
 // measureRecall computes |routed top-k ∩ full top-k| / |full top-k|,
 // where the full top-k merges the routed and audited shard answers.
-func measureRecall(routed, audit []shardOut, k int) float64 {
-	var routedNN, allNN []vec2
-	for _, o := range routed {
-		for _, nn := range o.nn {
-			routedNN = append(routedNN, vec2{nn.Dist, nn.Index})
-			allNN = append(allNN, vec2{nn.Dist, nn.Index})
-		}
-	}
-	for _, o := range audit {
-		for _, nn := range o.nn {
-			allNN = append(allNN, vec2{nn.Dist, nn.Index})
-		}
-	}
-	sortVec2(routedNN)
-	sortVec2(allNN)
-	if len(routedNN) > k {
-		routedNN = routedNN[:k]
-	}
-	if len(allNN) > k {
-		allNN = allNN[:k]
-	}
-	if len(allNN) == 0 {
+func measureRecall(routed, audit []visit, k int) float64 {
+	got := mergeVisits(k, routed)
+	full := mergeVisits(k, routed, audit)
+	if len(full) == 0 {
 		return 1
 	}
-	have := make(map[int]bool, len(routedNN))
-	for _, nn := range routedNN {
-		have[nn.idx] = true
+	have := make(map[int]bool, len(got))
+	for _, nn := range got {
+		have[nn.Index] = true
 	}
 	hit := 0
-	for _, nn := range allNN {
-		if have[nn.idx] {
+	for _, nn := range full {
+		if have[nn.Index] {
 			hit++
 		}
 	}
-	return float64(hit) / float64(len(allNN))
+	return float64(hit) / float64(len(full))
 }
 
-type vec2 struct {
-	dist float64
-	idx  int
-}
-
-func sortVec2(s []vec2) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].dist != s[j].dist {
-			return s[i].dist < s[j].dist
+// routeInfo annotates a routed query from its fan-out slots: the shards
+// it was dispatched to, and the ascending ids of the ones routed away.
+func routeInfo(vs []visit, mode route.Mode, est float64) *RouteInfo {
+	info := &RouteInfo{Mode: mode, EstRecall: est}
+	for i, v := range vs {
+		if v.sent {
+			info.Visited++
+		} else {
+			info.SkippedShards = append(info.SkippedShards, i)
 		}
-		return s[i].idx < s[j].idx
-	})
+	}
+	info.Skipped = len(info.SkippedShards)
+	return info
 }
 
 // noteRouted records one routed query on the router's cumulative stats,
 // the span tree, and the pim_route_* metrics (nil-safe throughout).
-func (e *Engine) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Duration) {
-	e.opts.Router.NoteOutcome(info.Visited, info.Skipped)
+func (p *Pipeline) noteRouted(root *obs.Span, info *RouteInfo, routeDur time.Duration) {
+	p.router.NoteOutcome(info.Visited, info.Skipped)
 	root.Annotate("routed",
 		obs.A("mode", string(info.Mode)),
 		obs.A("visited", info.Visited),
 		obs.A("skipped", info.Skipped),
 		obs.A("est_recall", info.EstRecall))
-	if e.eobs == nil {
+	eo := p.eobs
+	if eo == nil {
 		return
 	}
-	e.eobs.routeQueries.Inc()
-	e.eobs.routeVisited.Add(int64(info.Visited))
-	e.eobs.routeSkipped.Add(int64(info.Skipped))
-	e.eobs.routeLatency.Observe(routeDur.Seconds())
+	eo.routeQueries.Inc()
+	eo.routeVisited.Add(int64(info.Visited))
+	eo.routeSkipped.Add(int64(info.Skipped))
+	eo.routeLatency.Observe(routeDur.Seconds())
 	if info.Mode == route.ModeApprox {
-		e.eobs.routeEstRecall.Observe(info.EstRecall)
+		eo.routeEstRecall.Observe(info.EstRecall)
 		if info.Audited {
-			e.eobs.routeAudits.Inc()
-			e.eobs.routeMeasuredRecall.Observe(info.MeasuredRecall)
+			eo.routeAudits.Inc()
+			eo.routeMeasuredRecall.Observe(info.MeasuredRecall)
 		}
 	}
 }

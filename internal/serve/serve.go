@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -129,8 +128,7 @@ type Options struct {
 // one query at a time per shard, with queries pipelining across shards.
 type shard struct {
 	id     int
-	name   string // span label, precomputed off the query hot path
-	offset int    // global index of local row 0
+	offset int // global index of local row 0
 	data   *vec.Matrix
 
 	mu       sync.Mutex
@@ -141,51 +139,79 @@ type shard struct {
 	// Overload protection (nil/unset unless Options.Resilience engages
 	// it): breaker gates the PIM path, host is the exact host-scan
 	// fallback served while the breaker is open, retry is the shared
-	// engine-wide transient-fault budget. The search flow lives in
+	// engine-wide transient-fault budget, and retries counts what it
+	// pays out (nil without Options.Obs). The search flow lives in
 	// resilience.go.
 	breaker *resilience.Breaker
 	host    knn.Searcher
 	retry   *resilience.RetryBudget
+	retries *obs.Counter
+}
+
+// staticShards is the immutable engine's ShardSet.
+type staticShards []*shard
+
+func (s staticShards) NumShards() int    { return len(s) }
+func (s staticShards) Servable(int) bool { return true }
+
+func (s staticShards) Visit(ctx context.Context, i int, q []float64, k int) ([]vec.Neighbor, *arch.Meter, bool, error) {
+	nn, m, breakerOpen := s[i].search(ctx, q, k)
+	return nn, m, breakerOpen, nil
+}
+
+// DegradedShards returns the ids of shards that fell back to the host
+// exact scan at build time (nil when none did).
+func (s staticShards) DegradedShards() []int {
+	var out []int
+	for _, sh := range s {
+		if sh.degraded {
+			out = append(out, sh.id)
+		}
+	}
+	return out
 }
 
 // ErrClosed reports an operation on an engine after Close.
 var ErrClosed = fmt.Errorf("serve: engine closed")
 
-// Engine is the sharded concurrent query engine. It is safe for
-// concurrent use by multiple goroutines.
+// Engine is the sharded concurrent query engine: static per-shard
+// searchers under the shared query pipeline. It is safe for concurrent
+// use by multiple goroutines.
 type Engine struct {
-	data     *vec.Matrix
-	shards   []*shard
-	degraded []int // shard ids that fell back to the host exact scan
-	opts     Options
-	eobs     *engineObs        // nil when Options.Obs is nil
-	res      *engineResilience // nil when Options.Resilience is nil
-
-	// closeMu gates the query paths against Close: queries hold the
-	// read side for their duration, so Close drains in-flight work.
-	closeMu sync.RWMutex
-	closed  bool
+	*pipeline
+	data   *vec.Matrix
+	shards staticShards
 }
 
 // Close drains in-flight queries and shuts the engine down; subsequent
 // queries return ErrClosed. It is idempotent — a second (or concurrent)
 // Close neither panics nor deadlocks, it just waits for the same drain.
 func (e *Engine) Close() error {
-	e.closeMu.Lock()
-	e.closed = true
-	e.closeMu.Unlock()
+	_ = e.pipeline.Close() // ErrClosed only on a repeat, which is a no-op here
 	return nil
 }
 
-// acquire takes a query lease; the returned release must be called when
-// the query finishes. It fails once Close has run.
-func (e *Engine) acquire() (release func(), err error) {
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, ErrClosed
+// withDefaults resolves the defaults New and NewMutable share for a
+// dataset of rows rows: the shard count (the router's, else GOMAXPROCS,
+// clamped to the rows), the Theorem 4 capacity and the variant.
+func (o Options) withDefaults(rows int) Options {
+	if o.Shards <= 0 {
+		if o.Router != nil {
+			o.Shards = o.Router.NumShards()
+		} else {
+			o.Shards = runtime.GOMAXPROCS(0)
+		}
 	}
-	return e.closeMu.RUnlock, nil
+	if o.Shards > rows {
+		o.Shards = rows
+	}
+	if o.CapacityN <= 0 {
+		o.CapacityN = rows
+	}
+	if o.Variant == "" {
+		o.Variant = VariantStandard
+	}
+	return o
 }
 
 // New partitions data row-wise and builds one searcher per shard. A shard
@@ -196,28 +222,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 	if data == nil || data.N == 0 {
 		return nil, fmt.Errorf("serve: empty dataset")
 	}
-	if opts.Shards <= 0 {
-		if opts.Router != nil {
-			opts.Shards = opts.Router.NumShards()
-		} else {
-			opts.Shards = runtime.GOMAXPROCS(0)
-		}
-	}
-	if opts.Shards > data.N {
-		opts.Shards = data.N
-	}
-	if err := checkRouter(opts.Router, opts.Shards, data.D); err != nil {
-		return nil, err
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.CapacityN <= 0 {
-		opts.CapacityN = data.N
-	}
-	if opts.Variant == "" {
-		opts.Variant = VariantStandard
-	}
+	opts = opts.withDefaults(data.N)
 	factory := opts.Factory
 	if factory == nil {
 		var err error
@@ -226,20 +231,7 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	var res *engineResilience
-	if opts.Resilience != nil {
-		var err error
-		if res, err = newEngineResilience(opts.Resilience); err != nil {
-			return nil, err
-		}
-		// A batch must not reject its own jobs: the worker pool is the
-		// batch's admission, so it never outnumbers the concurrency cap.
-		if mc := opts.Resilience.MaxConcurrent; mc > 0 && opts.Workers > mc {
-			opts.Workers = mc
-		}
-	}
-
-	e := &Engine{data: data, opts: opts, res: res}
+	e := &Engine{data: data}
 	s := opts.Shards
 	base, rem := data.N/s, data.N%s
 	lo := 0
@@ -248,25 +240,28 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		if id < rem {
 			rows++
 		}
-		sh := &shard{id: id, name: fmt.Sprintf("shard %d", id), offset: lo, data: data.Slice(lo, lo+rows), meter: arch.NewMeter()}
+		sh := &shard{id: id, offset: lo, data: data.Slice(lo, lo+rows), meter: arch.NewMeter()}
 		searcher, err := factory(sh.data, id)
 		if err != nil {
 			// Graceful degradation: this shard serves the exact host
 			// scan; results stay exact, throughput modeling degrades.
 			searcher = knn.NewStandard(sh.data)
 			sh.degraded = true
-			e.degraded = append(e.degraded, id)
 		}
 		sh.searcher = searcher
 		e.shards = append(e.shards, sh)
 		lo += rows
 	}
-	if res != nil {
+	var err error
+	if e.pipeline, err = NewPipeline(e.shards, data.D, opts); err != nil {
+		return nil, err
+	}
+	if e.res != nil {
 		for _, sh := range e.shards {
 			if sh.degraded {
 				continue // already serving the host scan permanently
 			}
-			sh.retry = res.retry
+			sh.retry = e.res.retry
 			if opts.Resilience.Breaker.FailureThreshold > 0 {
 				sh.breaker = resilience.NewBreaker(opts.Resilience.Breaker)
 				sh.host = knn.NewStandard(sh.data)
@@ -274,7 +269,13 @@ func New(data *vec.Matrix, opts Options) (*Engine, error) {
 		}
 	}
 	if opts.Obs != nil {
-		e.eobs = newEngineObs(e, opts.Obs)
+		reg := opts.Obs.Registry()
+		retries := reg.Counter("pim_serve_pim_retries_total",
+			"Transient-fault PIM retries spent from the engine retry budget.")
+		for _, sh := range e.shards {
+			sh.retries = retries
+		}
+		reg.RegisterCollector(e.collectMetrics)
 	}
 	return e, nil
 }
@@ -405,20 +406,8 @@ func variantFactory(opts Options) (Factory, error) {
 	}, nil
 }
 
-// NumShards returns the partition count in effect.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// Dims returns the dataset dimensionality (queries must match it).
-func (e *Engine) Dims() int { return e.data.D }
-
 // Rows returns the dataset cardinality.
 func (e *Engine) Rows() int { return e.data.N }
-
-// Workers returns the batch worker-pool width in effect.
-func (e *Engine) Workers() int { return e.opts.Workers }
-
-// Router returns the attached shard router (nil when unrouted).
-func (e *Engine) Router() *route.Router { return e.opts.Router }
 
 // ShardSizes returns the row count of every shard.
 func (e *Engine) ShardSizes() []int {
@@ -431,14 +420,7 @@ func (e *Engine) ShardSizes() []int {
 
 // DegradedShards returns the ids of shards serving the host fallback
 // (nil when every shard built its configured searcher).
-func (e *Engine) DegradedShards() []int {
-	if len(e.degraded) == 0 {
-		return nil
-	}
-	out := make([]int, len(e.degraded))
-	copy(out, e.degraded)
-	return out
-}
+func (e *Engine) DegradedShards() []int { return e.shards.DegradedShards() }
 
 // Meter returns a merged snapshot of the cumulative per-shard activity
 // since the engine was built.
@@ -465,208 +447,13 @@ type Result struct {
 	ShardMeters []*arch.Meter
 	// Degraded lists shards that served the host fallback for this query.
 	Degraded []int
-	// BreakerOpen lists shards whose circuit breaker refused the PIM
-	// path for this query, so the exact host scan served instead
-	// (results are still exact; only throughput modeling degrades).
+	// BreakerOpen lists, ascending, the shards a fallback served for
+	// this query: the exact host scan behind an open circuit breaker, or
+	// on a cluster a replica fail-over (results are still exact; only
+	// throughput modeling degrades).
 	BreakerOpen []int
 	// Routed annotates how the routing tier handled this query (nil when
 	// the engine has no router). Skipped shards have nil ShardMeters
 	// entries — they did no work at all.
 	Routed *RouteInfo
-}
-
-// shardOut carries one shard's contribution back to the query goroutine.
-type shardOut struct {
-	id          int
-	nn          []vec.Neighbor
-	meter       *arch.Meter
-	breakerOpen bool
-}
-
-// Search answers one kNN query by fanning out to every shard and merging
-// the per-shard top-k heaps into the exact global top-k. It honors ctx
-// cancellation and, when Options.QueryTimeout is set, a per-query
-// deadline (surfaced as ErrQueryTimeout, which still matches
-// context.DeadlineExceeded); a canceled query returns the context's
-// cause. With Options.Resilience set, the query first passes admission
-// control (resilience.ErrOverloaded when the engine is saturated) and
-// deadline-aware shedding (resilience.ErrShedDeadline when the
-// remaining deadline is below the observed p95 service time); both
-// reject in microseconds, before any shard work is dispatched. Search
-// is safe to call concurrently.
-//
-// With Options.Router set, Search routes in the router's default mode;
-// SearchMode overrides it per query.
-func (e *Engine) Search(ctx context.Context, q []float64, k int) (*Result, error) {
-	return e.SearchMode(ctx, q, k, route.ModeAuto)
-}
-
-// SearchMode is Search with an explicit routing mode: route.ModeExact
-// keeps results bit-identical to the unrouted engine while skipping
-// shards whose summary lower bound proves them out of the top-k;
-// route.ModeApprox visits shards by sketch similarity toward the
-// router's recall target; route.ModeAuto takes the router's default.
-// An explicit mode on an engine without a router is ErrNoRouter.
-func (e *Engine) SearchMode(ctx context.Context, q []float64, k int, mode route.Mode) (res *Result, err error) {
-	release, err := e.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(q) != e.data.D {
-		return nil, fmt.Errorf("serve: query has %d dims, dataset has %d", len(q), e.data.D)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: need k >= 1, got %d", k)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Admission control: when the concurrency cap and its wait queue are
-	// both full, answer "no" now — a typed rejection in microseconds —
-	// instead of queueing into certain timeout and burning crossbar
-	// transfers on a query that cannot finish.
-	if lrelease, lerr := e.res.admit(ctx); lerr != nil {
-		e.eobs.noteRejected(lerr)
-		return nil, lerr
-	} else if lrelease != nil {
-		defer lrelease()
-	}
-	if e.opts.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, e.opts.QueryTimeout, ErrQueryTimeout)
-		defer cancel()
-	}
-	start := time.Now()
-	var root *obs.Span
-	if e.eobs != nil {
-		e.eobs.inflight.Add(1)
-		ctx, root = e.eobs.o.Tracer().Start(ctx, "engine.search")
-		root.SetAttr("k", k)
-		root.SetAttr("shards", len(e.shards))
-		defer func() {
-			e.eobs.inflight.Add(-1)
-			e.eobs.queries.Inc()
-			e.eobs.latency.Observe(time.Since(start).Seconds())
-			if err != nil {
-				e.eobs.errors.Inc()
-				root.SetAttr("error", err)
-			}
-			root.End()
-		}()
-	}
-	// Deadline-aware shedding: a query whose remaining deadline is below
-	// the observed p95 service time cannot finish; shed it before any
-	// PIM transfer budget (Eq. 13's Tcost) is spent on it.
-	if serr := e.res.checkShed(ctx); serr != nil {
-		e.eobs.noteShed()
-		root.Annotate("shed", obs.A("reason", serr.Error()))
-		return nil, serr
-	}
-
-	// Route, then fan out to the visit set (everything when unrouted).
-	outs, info, err := e.dispatch(ctx, root, q, k, mode)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, context.Cause(ctx) // a shard may have skipped its work
-	}
-	// Global top-k = k minimum under the (distance, index) total order —
-	// the same order every searcher's TopK heap resolves ties with, which
-	// is what makes the merge exactly equal to a sequential scan.
-	meters := make([]*arch.Meter, len(e.shards))
-	merged := make([]vec.Neighbor, 0, len(outs)*k)
-	var breakerOpen []int
-	for _, o := range outs {
-		merged = append(merged, o.nn...)
-		meters[o.id] = o.meter
-		if o.breakerOpen {
-			breakerOpen = append(breakerOpen, o.id)
-		}
-	}
-	merged = topK(merged, k)
-	meter := arch.NewMeter()
-	for _, m := range meters {
-		if m != nil {
-			meter.Merge(m)
-		}
-	}
-	// Feed the shedder only with completed queries: its p95 must track
-	// real service time, not the latency of rejections.
-	if e.res != nil {
-		e.res.shed.Observe(time.Since(start))
-	}
-	return &Result{Neighbors: merged, Meter: meter, ShardMeters: meters,
-		Degraded: e.DegradedShards(), BreakerOpen: breakerOpen, Routed: info}, nil
-}
-
-// topK sorts candidates by the canonical (distance, index) total order
-// and truncates to k.
-func topK(merged []vec.Neighbor, k int) []vec.Neighbor {
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Dist != merged[j].Dist {
-			return merged[i].Dist < merged[j].Dist
-		}
-		return merged[i].Index < merged[j].Index
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// fanOut dispatches one query to the given shard ids in parallel and
-// collects every answer (ids nil = all shards). The channel is buffered
-// so a shard goroutine can always deliver and exit, even when the query
-// gave up on the deadline.
-func (e *Engine) fanOut(ctx context.Context, root *obs.Span, q []float64, k int, ids []int) ([]shardOut, error) {
-	n := len(ids)
-	if ids == nil {
-		n = len(e.shards)
-	}
-	out := make(chan shardOut, n)
-	dispatch := func(sh *shard) {
-		go func() {
-			if ctx.Err() != nil {
-				out <- shardOut{id: sh.id}
-				return
-			}
-			sp := root.StartChild(sh.name)
-			if e.eobs != nil {
-				e.eobs.shardQueries[sh.id].Inc()
-			}
-			ans := sh.search(obs.ContextWithSpan(ctx, sp), q, k)
-			annotateFaults(sp, ans.meter)
-			if ans.breakerOpen {
-				sp.Annotate("breaker-open", obs.A("path", "host-scan"))
-				e.eobs.noteBreakerHostServe()
-			}
-			if ans.retries > 0 {
-				sp.Annotate("pim-retry", obs.A("retries", ans.retries))
-				e.eobs.noteRetries(ans.retries)
-			}
-			sp.End()
-			out <- shardOut{id: sh.id, nn: ans.nn, meter: ans.meter, breakerOpen: ans.breakerOpen}
-		}()
-	}
-	if ids == nil {
-		for _, sh := range e.shards {
-			dispatch(sh)
-		}
-	} else {
-		for _, id := range ids {
-			dispatch(e.shards[id])
-		}
-	}
-	outs := make([]shardOut, 0, n)
-	for i := 0; i < n; i++ {
-		select {
-		case o := <-out:
-			outs = append(outs, o)
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	return outs, nil
 }

@@ -610,8 +610,9 @@ func NewClusterChaos(eng *ClusterEngine, seed int64, cfg ClusterChaosConfig) *Cl
 // interpolated p50/p95/p99) plus head-sampled per-query span traces, with
 // Prometheus text-format and expvar JSON exposition over net/http.
 type (
-	// Observer bundles a metrics registry and a tracer; pass one to
-	// NewObservedEngine (or set QueryEngineOptions.Obs / Framework.Obs).
+	// Observer bundles a metrics registry and a tracer; set it as
+	// QueryEngineOptions.Obs (also through MutableEngineOptions and
+	// ClusterOptions) or Framework.Obs.
 	Observer = obs.Observer
 	// ObserverConfig configures NewObserver (sampling rate, buffers).
 	ObserverConfig = obs.Config
@@ -627,15 +628,6 @@ type (
 // query, R traces one in R, 0 disables tracing (metrics stay on).
 // Observer.Handler() serves /metrics, /debug/vars and /debug/traces.
 func NewObserver(cfg ObserverConfig) *Observer { return obs.New(cfg) }
-
-// NewObservedEngine is NewQueryEngine wired into an observer: query and
-// per-shard counters, latency histograms, meter/fault collectors, and —
-// for sampled queries — the full engine → shard → bound-eval → pim-dot →
-// refine span tree.
-func NewObservedEngine(data *Matrix, opts QueryEngineOptions, o *Observer) (*QueryEngine, error) {
-	opts.Obs = o
-	return serve.New(data, opts)
-}
 
 // Sketch-based shard routing (internal/route): a per-shard summary tier
 // consulted before fan-out so a query only dispatches to shards that can
