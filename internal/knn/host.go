@@ -5,53 +5,20 @@ import (
 
 	"pimmine/internal/arch"
 	"pimmine/internal/bound"
-	"pimmine/internal/measure"
 	"pimmine/internal/vec"
 )
 
-// ---------------------------------------------------------------------------
-// Standard: exact linear scan.
-// ---------------------------------------------------------------------------
-
-// Standard is the exact ED linear scan over a dataset.
-type Standard struct {
-	Data *vec.Matrix
-	top  *vec.TopK
-}
+// Standard is the exact ED linear scan over a dataset: the scan with no
+// bound, so every row is refined.
+type Standard struct{ scan }
 
 // NewStandard builds the baseline scan.
-func NewStandard(data *vec.Matrix) *Standard { return &Standard{Data: data} }
-
-// Name implements Searcher.
-func (s *Standard) Name() string { return "Standard" }
-
-// Search scans all objects with exact ED.
-func (s *Standard) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return s.SearchAppend(q, k, meter, nil)
+func NewStandard(data *vec.Matrix) *Standard {
+	return &Standard{newScan(data, "Standard")}
 }
-
-// SearchAppend implements AppendSearcher.
-func (s *Standard) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	s.top = reuseTopK(s.top, k)
-	for i := 0; i < s.Data.N; i++ {
-		s.top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
-	}
-	costExactScan(meter.C(arch.FuncED), int64(s.Data.N), s.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(s.Data.N) // heap maintenance
-	return s.top.AppendResults(dst)
-}
-
-// ---------------------------------------------------------------------------
-// OST: LB_OST filter + exact refinement.
-// ---------------------------------------------------------------------------
 
 // OST prunes with the orthogonal-search-tree bound before refining.
-type OST struct {
-	Data   *vec.Matrix
-	Ix     *bound.OSTIndex
-	top    *vec.TopK
-	stages []StageStat
-}
+type OST struct{ scan }
 
 // NewOST builds the OST searcher with head length d0 (the paper's baseline
 // setting uses half the dimensions; callers may tune).
@@ -60,54 +27,21 @@ func NewOST(data *vec.Matrix, d0 int) (*OST, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OST{Data: data, Ix: ix}, nil
-}
-
-// Name implements Searcher.
-func (o *OST) Name() string { return "OST" }
-
-// LastStages implements Stager.
-func (o *OST) LastStages() []StageStat { return o.stages }
-
-// Search filters with LB_OST, then refines survivors with exact ED.
-func (o *OST) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return o.SearchAppend(q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (o *OST) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	qTail := o.Ix.QueryTail(q)
-	o.top = reuseTopK(o.top, k)
-	top := o.top
-	survivors := 0
-	for i := 0; i < o.Data.N; i++ {
-		if o.Ix.LB(i, q, qTail) > top.Threshold() {
-			continue
-		}
-		survivors++
-		top.Push(i, measure.SqEuclidean(o.Data.Row(i), q))
+	var q []float64
+	var qTail float64
+	lbost := stage{
+		name: "LBOST", dims: ix.TransferDims(),
+		prepare: func(qv []float64, _ *arch.Meter) error {
+			q, qTail = qv, ix.QueryTail(qv)
+			return nil
+		},
+		lb: func(i int) float64 { return ix.LB(i, q, qTail) },
 	}
-	costBoundScan(meter.C("LBOST"), int64(o.Data.N), o.Ix.TransferDims())
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), o.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(o.Data.N)
-	o.stages = append(o.stages[:0],
-		StageStat{Name: "LBOST", In: o.Data.N, Out: survivors, TransferDims: o.Ix.TransferDims()},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: o.Data.D})
-	return top.AppendResults(dst)
+	return &OST{newScan(data, "OST", lbost)}, nil
 }
-
-// ---------------------------------------------------------------------------
-// SM: LB_SM filter + exact refinement.
-// ---------------------------------------------------------------------------
 
 // SM prunes with the segmented-mean bound before refining.
-type SM struct {
-	Data   *vec.Matrix
-	Ix     *bound.SMIndex
-	top    *vec.TopK
-	qMu    []float64 // query segment-mean scratch
-	stages []StageStat
-}
+type SM struct{ scan }
 
 // NewSM builds the SM searcher with segs segments.
 func NewSM(data *vec.Matrix, segs int) (*SM, error) {
@@ -115,66 +49,20 @@ func NewSM(data *vec.Matrix, segs int) (*SM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SM{Data: data, Ix: ix}, nil
-}
-
-// Name implements Searcher.
-func (s *SM) Name() string { return "SM" }
-
-// LastStages implements Stager.
-func (s *SM) LastStages() []StageStat { return s.stages }
-
-// Search filters with LB_SM, then refines survivors with exact ED.
-func (s *SM) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return s.SearchAppend(q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (s *SM) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	if s.qMu == nil {
-		s.qMu = make([]float64, s.Ix.Segs)
+	qMu := make([]float64, ix.Segs)
+	lbsm := stage{
+		name: "LBSM", dims: ix.TransferDims(),
+		prepare: func(q []float64, _ *arch.Meter) error { return ix.QueryMuInto(q, qMu) },
+		lb:      func(i int) float64 { return ix.LB(i, qMu) },
 	}
-	if err := s.Ix.QueryMuInto(q, s.qMu); err != nil {
-		panic(fmt.Sprintf("knn: SM query: %v", err)) // shape mismatch is a caller bug
-	}
-	s.top = reuseTopK(s.top, k)
-	top := s.top
-	survivors := 0
-	for i := 0; i < s.Data.N; i++ {
-		if s.Ix.LB(i, s.qMu) > top.Threshold() {
-			continue
-		}
-		survivors++
-		top.Push(i, measure.SqEuclidean(s.Data.Row(i), q))
-	}
-	costBoundScan(meter.C("LBSM"), int64(s.Data.N), s.Ix.TransferDims())
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), s.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(s.Data.N)
-	s.stages = append(s.stages[:0],
-		StageStat{Name: "LBSM", In: s.Data.N, Out: survivors, TransferDims: s.Ix.TransferDims()},
-		StageStat{Name: "ED", In: survivors, Out: k, TransferDims: s.Data.D})
-	return top.AppendResults(dst)
+	return &SM{newScan(data, "SM", lbsm)}, nil
 }
-
-// ---------------------------------------------------------------------------
-// FNN: cascade of LB_FNN bounds of increasing granularity + refinement.
-// ---------------------------------------------------------------------------
-
-// fnnQStats is one granularity's query-side segment statistics, reused
-// across queries by the cascaded searchers.
-type fnnQStats struct{ mu, sigma []float64 }
 
 // FNN applies the paper's three-level LB_FNN cascade (granularities near
 // d/64, d/16, d/4 — Fig 12a) before exact refinement.
 type FNN struct {
-	Data   *vec.Matrix
+	scan
 	Levels []*bound.FNNIndex // ascending granularity
-
-	names   []string // per-level meter bucket / stage names
-	top     *vec.TopK
-	qs      []fnnQStats
-	entered []int
-	stages  []StageStat
 }
 
 // NewFNN builds the FNN searcher with the standard cascade for the data's
@@ -187,7 +75,8 @@ func NewFNN(data *vec.Matrix) (*FNN, error) {
 // NewFNNWithLevels builds the cascade with explicit segment counts
 // (ascending). Duplicate granularities are collapsed.
 func NewFNNWithLevels(data *vec.Matrix, segCounts []int) (*FNN, error) {
-	f := &FNN{Data: data}
+	var levels []*bound.FNNIndex
+	var stages []stage
 	seen := map[int]bool{}
 	for _, segs := range segCounts {
 		if seen[segs] {
@@ -198,69 +87,21 @@ func NewFNNWithLevels(data *vec.Matrix, segCounts []int) (*FNN, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Levels = append(f.Levels, ix)
+		levels = append(levels, ix)
+		stages = append(stages, fnnStage(ix))
 	}
-	if len(f.Levels) == 0 {
+	if len(levels) == 0 {
 		return nil, fmt.Errorf("knn: FNN needs at least one granularity")
 	}
-	for _, ix := range f.Levels {
-		f.names = append(f.names, fmt.Sprintf("LBFNN-%d", ix.Segs))
-		f.qs = append(f.qs, fnnQStats{mu: make([]float64, ix.Segs), sigma: make([]float64, ix.Segs)})
-	}
-	f.entered = make([]int, len(f.Levels)+1)
-	return f, nil
+	return &FNN{newScan(data, "FNN", stages...), levels}, nil
 }
 
-// Name implements Searcher.
-func (f *FNN) Name() string { return "FNN" }
-
-// LastStages implements Stager.
-func (f *FNN) LastStages() []StageStat { return f.stages }
-
-// Search runs the cascade. Each level is evaluated lazily: an object only
-// reaches level j+1 if level j failed to prune it, exactly as in Fig 12(a).
-func (f *FNN) Search(q []float64, k int, meter *arch.Meter) []vec.Neighbor {
-	return f.SearchAppend(q, k, meter, nil)
-}
-
-// SearchAppend implements AppendSearcher.
-func (f *FNN) SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor {
-	for li, ix := range f.Levels {
-		if err := ix.QueryStatsInto(q, f.qs[li].mu, f.qs[li].sigma); err != nil {
-			panic(fmt.Sprintf("knn: FNN query: %v", err))
-		}
+// fnnStage is one LB_FNN level of a cascade.
+func fnnStage(ix *bound.FNNIndex) stage {
+	mu, sigma := make([]float64, ix.Segs), make([]float64, ix.Segs)
+	return stage{
+		name: fmt.Sprintf("LBFNN-%d", ix.Segs), dims: ix.TransferDims(),
+		prepare: func(q []float64, _ *arch.Meter) error { return ix.QueryStatsInto(q, mu, sigma) },
+		lb:      func(i int) float64 { return ix.LB(i, mu, sigma) },
 	}
-	f.top = reuseTopK(f.top, k)
-	top := f.top
-	entered := f.entered
-	for i := range entered {
-		entered[i] = 0
-	}
-	f.stages = f.stages[:0]
-	for i := 0; i < f.Data.N; i++ {
-		pruned := false
-		for li, ix := range f.Levels {
-			entered[li]++
-			if ix.LB(i, f.qs[li].mu, f.qs[li].sigma) > top.Threshold() {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		entered[len(f.Levels)]++
-		top.Push(i, measure.SqEuclidean(f.Data.Row(i), q))
-	}
-	for li, ix := range f.Levels {
-		costBoundScan(meter.C(f.names[li]), int64(entered[li]), ix.TransferDims())
-		f.stages = append(f.stages, StageStat{
-			Name: f.names[li], In: entered[li], Out: entered[li+1], TransferDims: ix.TransferDims(),
-		})
-	}
-	survivors := entered[len(f.Levels)]
-	costExactRefine(meter.C(arch.FuncED), int64(survivors), f.Data.D)
-	meter.C(arch.FuncOther).Ops += int64(f.Data.N)
-	f.stages = append(f.stages, StageStat{Name: "ED", In: survivors, Out: k, TransferDims: f.Data.D})
-	return top.AppendResults(dst)
 }

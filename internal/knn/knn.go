@@ -40,23 +40,14 @@ type Searcher interface {
 // goroutine, exactly as Search always has (SearchBatch builds one per
 // worker).
 //
-// Every searcher in this package implements AppendSearcher, and Search is
-// defined as SearchAppend(q, k, meter, nil) — so both entry points return
-// identical neighbors and record identical meter activity.
+// The eight ED filter-and-refine searchers — Standard, OST, SM, FNN,
+// StandardPIM, FNNPIM, SMPIM and OSTPIM — implement AppendSearcher
+// through the one scan they share, whose Search is SearchAppend(q, k,
+// meter, nil): both entry points return identical neighbors and record
+// identical meter activity.
 type AppendSearcher interface {
 	Searcher
 	SearchAppend(q []float64, k int, meter *arch.Meter, dst []vec.Neighbor) []vec.Neighbor
-}
-
-// reuseTopK returns t reset for k neighbors, allocating only on first use
-// (or when k outgrows the retained heap) — the per-query collector reset
-// of every SearchAppend implementation.
-func reuseTopK(t *vec.TopK, k int) *vec.TopK {
-	if t == nil {
-		return vec.NewTopK(k)
-	}
-	t.Reset(k)
-	return t
 }
 
 // SearcherFunc adapts a function (plus a name) into a Searcher — the
@@ -128,15 +119,6 @@ func costBoundScan(c *arch.Counters, n int64, tdims int) {
 // (the scan order), so their traffic still prefetches like a sparse
 // sequential stream and is charged at the sequential rate.
 func costExactRefine(c *arch.Counters, n int64, d int) {
-	c.Ops += n * int64(3*d)
-	c.SeqBytes += n * int64(d) * operandBytes
-	c.Branches += n
-	c.Calls += n
-}
-
-// costExactScan records the host cost of exact ED over the whole dataset
-// in a sequential scan (the Standard baseline).
-func costExactScan(c *arch.Counters, n int64, d int) {
 	c.Ops += n * int64(3*d)
 	c.SeqBytes += n * int64(d) * operandBytes
 	c.Branches += n

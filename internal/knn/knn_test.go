@@ -150,7 +150,7 @@ func TestMeterAccounting(t *testing.T) {
 	}
 	m2 := arch.NewMeter()
 	sp.Search(queries.Row(0), 5, m2)
-	pb := m2.Get(sp.filter.funcName())
+	pb := m2.Get(sp.LastStages()[0].Name)
 	if pb.PIMCycles == 0 || pb.PIMBufBytes == 0 {
 		t.Fatalf("Standard-PIM recorded no PIM activity: %+v", pb)
 	}

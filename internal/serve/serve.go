@@ -311,11 +311,20 @@ type capFactory func(m *vec.Matrix, capacityN int) (knn.Searcher, error)
 // build).
 func variantBuilder(opts Options) (capFactory, error) {
 	fw := opts.Framework
-	needFW := func(v Variant) error {
+	// onArray wraps a PIM searcher constructor: each call programs a fresh
+	// engine and refuses one with dead crossbars.
+	onArray := func(v Variant, build func(eng *pim.Engine, m *vec.Matrix, capacityN int) (knn.Searcher, error)) (capFactory, error) {
 		if fw == nil {
-			return fmt.Errorf("serve: variant %q needs Options.Framework", v)
+			return nil, fmt.Errorf("serve: variant %q needs Options.Framework", v)
 		}
-		return nil
+		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+			eng, err := fw.NewEngine()
+			if err != nil {
+				return nil, err
+			}
+			s, err := build(eng, m, capacityN)
+			return checkAlive(s, eng, err)
+		}, nil
 	}
 	switch v := opts.Variant; v {
 	case VariantStandard:
@@ -335,53 +344,21 @@ func variantBuilder(opts Options) (capFactory, error) {
 			return knn.NewFNN(m)
 		}, nil
 	case VariantStandardPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
-		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewStandardPIM(eng, m, fw.Quant, capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
+		return onArray(v, func(eng *pim.Engine, m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+			return knn.NewStandardPIM(eng, m, fw.Quant, capacityN)
+		})
 	case VariantOSTPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
-		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewOSTPIM(eng, m, fw.Quant, m.D/2, capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
+		return onArray(v, func(eng *pim.Engine, m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+			return knn.NewOSTPIM(eng, m, fw.Quant, m.D/2, capacityN)
+		})
 	case VariantSMPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
-		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewSMPIM(eng, m, fw.Quant, bound.FNNLevels(m.D)[2], capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
+		return onArray(v, func(eng *pim.Engine, m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+			return knn.NewSMPIM(eng, m, fw.Quant, bound.FNNLevels(m.D)[2], capacityN)
+		})
 	case VariantFNNPIM:
-		if err := needFW(v); err != nil {
-			return nil, err
-		}
-		return func(m *vec.Matrix, capacityN int) (knn.Searcher, error) {
-			eng, err := fw.NewEngine()
-			if err != nil {
-				return nil, err
-			}
-			s, err := knn.NewFNNPIM(eng, m, fw.Quant, capacityN)
-			return checkAlive(s, eng, err)
-		}, nil
+		return onArray(v, func(eng *pim.Engine, m *vec.Matrix, capacityN int) (knn.Searcher, error) {
+			return knn.NewFNNPIM(eng, m, fw.Quant, capacityN)
+		})
 	default:
 		return nil, fmt.Errorf("serve: unknown variant %q", opts.Variant)
 	}
